@@ -78,10 +78,12 @@ fi
 
 echo "== streaming-vs-batch smoke (exact aggregates must match bit for bit) =="
 python - <<'PY'
+import time
+
 import numpy as np
 
 import repro
-from repro.analytics import StreamingAnalytics
+from repro.analytics import StreamingAnalytics, replay_store_events
 from repro.core.classify import CATEGORIES, classify_store
 from repro.core.timeseries import daily_totals
 
@@ -90,7 +92,14 @@ store = repro.generate(
     backend="inline", workers=1,
 ).store
 analytics = StreamingAnalytics()
+started = time.perf_counter()
 analytics.ingest_store(store)
+ingest_s = time.perf_counter() - started
+replayed = StreamingAnalytics()
+replayed.ingest_events(replay_store_events(store))
+if replayed != analytics:
+    raise SystemExit("columnar ingest_store diverged from the per-row event "
+                     "replay of the same store")
 
 batch_mix = np.bincount(classify_store(store), minlength=len(CATEGORIES))
 mix = analytics.category_counts()
@@ -103,7 +112,8 @@ batch_daily = daily_totals(store)
 if not np.array_equal(analytics.sessions_per_day(len(batch_daily)), batch_daily):
     raise SystemExit("sessions-per-day diverged between streaming and batch")
 print(f"streaming-vs-batch ok ({analytics.session_count():,} sessions, "
-      f"mix + daily totals exact)")
+      f"mix + daily totals exact, ingest_store == event replay, "
+      f"ingest {len(store) / ingest_s:,.0f} sessions/s)")
 PY
 
 echo "== scalar-vs-block emit-path smoke (stores byte-identical) =="

@@ -67,10 +67,15 @@ from repro.simulation.rng import derive_stream_seed
 Key = TypeVar("Key", int, str)
 KeyLike = Union[int, str]
 
+_MASK64 = 0xFFFFFFFFFFFFFFFF
+_MIX_1_INT = 0xBF58476D1CE4E5B9
+_MIX_2_INT = 0x94D049BB133111EB
+_GOLDEN_INT = 0x9E3779B97F4A7C15
+
 _U64 = np.uint64
-_MIX_1 = np.uint64(0xBF58476D1CE4E5B9)
-_MIX_2 = np.uint64(0x94D049BB133111EB)
-_GOLDEN = np.uint64(0x9E3779B97F4A7C15)
+_MIX_1 = _U64(_MIX_1_INT)
+_MIX_2 = _U64(_MIX_2_INT)
+_GOLDEN = _U64(_GOLDEN_INT)
 
 
 def _mix64(values: np.ndarray, seed: int) -> np.ndarray:
@@ -79,7 +84,7 @@ def _mix64(values: np.ndarray, seed: int) -> np.ndarray:
     Vectorised and branch-free; numpy uint64 arithmetic wraps modulo
     2**64, which is exactly the splitmix semantics.
     """
-    x = np.asarray(values, dtype=_U64) + (_U64(seed & 0xFFFFFFFFFFFFFFFF) ^ _GOLDEN)
+    x = np.asarray(values, dtype=_U64) + (_U64(seed & _MASK64) ^ _GOLDEN)
     x = (x ^ (x >> _U64(30))) * _MIX_1
     x = (x ^ (x >> _U64(27))) * _MIX_2
     return x ^ (x >> _U64(31))
@@ -93,11 +98,22 @@ def _hash_str(value: str, seed: int) -> int:
     return int.from_bytes(digest, "big")
 
 
+def _mix64_int(value: int, seed: int) -> int:
+    """Scalar :func:`_mix64` in plain Python ints, masked to 64 bits."""
+    if not 0 <= value <= _MASK64:
+        raise OverflowError(f"Python integer {value} out of bounds for uint64")
+    x = (value + ((seed & _MASK64) ^ _GOLDEN_INT)) & _MASK64
+    x = ((x ^ (x >> 30)) * _MIX_1_INT) & _MASK64
+    x = ((x ^ (x >> 27)) * _MIX_2_INT) & _MASK64
+    return x ^ (x >> 31)
+
+
 def hash_key(value: KeyLike, seed: int) -> int:
-    """Seeded 64-bit hash of an int or str key."""
+    """Seeded 64-bit hash of an int or str key (same bits as
+    :func:`hash_keys`, without a numpy round trip)."""
     if isinstance(value, str):
         return _hash_str(value, seed)
-    return int(_mix64(np.asarray([value], dtype=_U64), seed)[0])
+    return _mix64_int(int(value), seed)
 
 
 def hash_keys(values: Sequence[KeyLike], seed: int) -> np.ndarray:
@@ -161,7 +177,13 @@ class HyperLogLog:
         return 1.04 / math.sqrt(self.m)
 
     def add(self, value: KeyLike) -> None:
-        self.add_hashes(hash_keys([value], self.seed))
+        h = hash_key(value, self.seed)
+        idx = h >> (64 - self.p)
+        # Rank = leading zeros of the 64-p tail bits + 1, as in add_hashes.
+        tail = (h << self.p) & _MASK64
+        rank = min(65 - tail.bit_length(), 65 - self.p)
+        if rank > self.registers[idx]:
+            self.registers[idx] = rank
 
     def add_many(self, values: Sequence[KeyLike]) -> None:
         self.add_hashes(hash_keys(values, self.seed))
@@ -261,14 +283,11 @@ class CountMinSketch:
         """Documented per-query failure probability: ``exp(-depth)``."""
         return math.exp(-self.depth)
 
-    def _indices(self, values: Sequence[KeyLike]) -> List[np.ndarray]:
-        return [
-            (hash_keys(values, row_seed) % _U64(self.width)).astype(np.int64)
-            for row_seed in self.row_seeds
-        ]
-
     def add(self, value: KeyLike, count: int = 1) -> None:
-        self.add_many([value], [count])
+        count = int(count)
+        for row, row_seed in enumerate(self.row_seeds):
+            self.table[row, hash_key(value, row_seed) % self.width] += count
+        self.total += count
 
     def add_many(
         self, values: Sequence[KeyLike], counts: Optional[Sequence[int]] = None
@@ -280,14 +299,17 @@ class CountMinSketch:
             if counts is None
             else np.asarray(counts, dtype=np.int64)
         )
-        for row, idx in enumerate(self._indices(values)):
+        for row, row_seed in enumerate(self.row_seeds):
+            idx = (hash_keys(values, row_seed) % _U64(self.width)).astype(np.int64)
             np.add.at(self.table[row], idx, weights)
         self.total += int(weights.sum())
 
     def estimate(self, value: KeyLike) -> int:
         """Point estimate for one key (min over rows; overestimate)."""
-        idx = self._indices([value])
-        return int(min(self.table[row][i[0]] for row, i in enumerate(idx)))
+        return int(min(
+            self.table[row, hash_key(value, row_seed) % self.width]
+            for row, row_seed in enumerate(self.row_seeds)
+        ))
 
     def error_bound(self) -> float:
         """``epsilon * total``: the additive slack at confidence 1-delta."""

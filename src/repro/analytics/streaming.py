@@ -15,6 +15,14 @@ dataset:
   estimates (:class:`CountMinSketch`), and top-k hash / client / ASN
   tables (:class:`SpaceSaving`).
 
+Two intakes reach the same state.  The event path (:meth:`on_event`,
+:meth:`feed`) folds each session in as it closes, through
+:meth:`observe_session`.  The frozen-store path (:meth:`ingest_store`)
+works column by column: exact counts in bulk, each distinct hash hashed
+once, and only the order-dependent top-k tables fed key by key in row
+order.  Replaying a store as events and ingesting it directly must give
+``==`` analytics, which the differential tests pin.
+
 Shard discipline mirrors ``Metrics.merge`` / ``Tracer.fold``: run one
 consumer per shard, then fold with :meth:`merge` in shard order; the
 HyperLogLog / count-min / exact answers are identical for any worker
@@ -260,46 +268,63 @@ class StreamingAnalytics:
     # -- frozen-store intake ----------------------------------------------
 
     def ingest_store(self, store: SessionStore) -> int:
-        """Replay a frozen store through the per-session intake.
+        """Fold a frozen store in, column by column.
 
-        Runs the same online decision procedure per row as the event
-        path (no columnar shortcuts), so the differential tests compare
-        two genuinely independent implementations.
+        Ends in exactly the state the per-row event path reaches.  Exact
+        counts go in bulk; client IPs and each distinct sha are hashed
+        once (HLL register max and count-min cell sums do not depend on
+        order); the top-k tables take their keys in row order, because
+        the Misra–Gries reduction does.  Session hashes are deduplicated
+        in first-seen order, like :meth:`observe_session`.
         """
         metrics = get_metrics()
         with metrics.span("sketch/ingest"):
             n = len(store)
-            days = (store.start_time // 86_400).astype(np.int64).tolist()
-            ips = store.client_ip.tolist()
-            asns = store.client_asn.tolist()
-            attempts = store.n_attempts.tolist()
-            success = store.login_success.tolist()
-            commands = store.n_commands.tolist()
-            has_uri = store.has_uri.tolist()
-            offsets = store.hash_ids.offsets.tolist()
-            values = store.hash_ids.values.tolist()
-            sha_of = [store.hashes.value_of(i) for i in range(len(store.hashes))]
-            for i in range(n):
-                if attempts[i] == 0:
-                    category = "NO_CRED"
-                elif not success[i]:
-                    category = "FAIL_LOG"
-                elif commands[i] == 0:
-                    category = "NO_CMD"
-                elif has_uri[i]:
-                    category = "CMD_URI"
-                else:
-                    category = "CMD"
-                lo, hi = offsets[i], offsets[i + 1]
-                self.observe_session(
-                    category=category,
-                    day=days[i],
-                    client_ip=ips[i],
-                    asn=asns[i],
-                    hashes=[sha_of[h] for h in values[lo:hi]],
-                )
+            if n:
+                metrics.inc("sketch.sessions_observed", n)
+            # Codes index CATEGORY_NAMES; each later rule overrides the
+            # earlier ones, as the early returns of _StreamScratch.category.
+            codes = np.full(n, 3, dtype=np.int64)  # CMD
+            codes[store.has_uri] = 4  # CMD_URI
+            codes[store.n_commands == 0] = 2  # NO_CMD
+            codes[~store.login_success] = 1  # FAIL_LOG
+            codes[store.n_attempts == 0] = 0  # NO_CRED
+            counts = np.bincount(codes, minlength=len(CATEGORY_NAMES))
+            for name, count in zip(CATEGORY_NAMES, counts.tolist()):
+                if count:
+                    self.mix.add(name, count)
+            days, counts = np.unique(
+                (store.start_time // 86_400).astype(np.int64), return_counts=True
+            )
+            for day, count in zip(days.tolist(), counts.tolist()):
+                self.days.add(day, count)
+            self.hll_clients.add_many(store.client_ip)
+            self.topk_clients.add_many(store.client_ip.tolist())
+            asns = store.client_asn
+            self.topk_asns.add_many(asns[asns >= 0].tolist())
+            self._ingest_hashes(store)
             metrics.inc("sketch.store_sessions_ingested", n)
         return n
+
+    def _ingest_hashes(self, store: SessionStore) -> None:
+        """The per-session-deduplicated hash column into the hash sketches."""
+        values = store.hash_ids.values
+        if len(values) == 0:
+            return
+        n_ids = len(store.hashes)
+        rows = np.repeat(np.arange(len(store), dtype=np.int64),
+                         np.diff(store.hash_ids.offsets))
+        # First occurrence of each (session, hash) pair, in stream order.
+        _, first = np.unique(rows * n_ids + values, return_index=True)
+        first.sort()
+        ids = values[first]
+        sessions = np.bincount(ids, minlength=n_ids)
+        present = np.flatnonzero(sessions)
+        sha_of = store.hashes.values()
+        shas = [sha_of[i] for i in present.tolist()]
+        self.hll_hashes.add_many(shas)
+        self.cms_hashes.add_many(shas, sessions[present])
+        self.topk_hashes.add_many(sha_of[i] for i in ids.tolist())
 
     # -- merge -------------------------------------------------------------
 

@@ -459,13 +459,13 @@ class FarmHealthMonitor:
             flagged = [p for p in pots
                        if p.status(now, cfg.liveness_timeout) != "OK"]
             busiest = sorted(pots, key=lambda p: -p.sessions)
-            keep = {id(p) for p in flagged}
+            keep = {p.honeypot_id for p in flagged}
             for p in busiest:
                 if len(keep) >= max_pots:
                     break
-                keep.add(id(p))
+                keep.add(p.honeypot_id)
             hidden = len(pots) - len(keep)
-            pots = [p for p in pots if id(p) in keep]
+            pots = [p for p in pots if p.honeypot_id in keep]
         for pot in pots:
             seen = ("never" if pot.last_seen == float("-inf")
                     else f"{now - pot.last_seen:.0f}s ago")

@@ -105,6 +105,10 @@ def _rm(ctx: ShellContext, cmd: SimpleCommand) -> str:
     for path in cmd.argv[1:]:
         if path.startswith("-"):
             continue
+        if ctx.fs.resolve(path) == "/":
+            outputs.append("rm: it is dangerous to operate recursively on '/'")
+            outputs.append("rm: use --no-preserve-root to override this failsafe")
+            continue
         if not ctx.fs.remove(path):
             outputs.append(f"rm: can't remove '{path}': No such file or directory")
     return "\n".join(outputs)

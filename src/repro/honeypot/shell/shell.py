@@ -142,6 +142,14 @@ class EmulatedShell:
                 text=simple.text, name=name, known=False, output=output, uris=uris
             )
 
+        if simple.redirect_path and self.context.fs.is_dir(simple.redirect_path):
+            # The shell opens the target before the command runs, so the
+            # command fails without running and nothing is written.
+            output = f"bash: {simple.redirect_path}: Is a directory"
+            return CommandRecord(
+                text=simple.text, name=name, known=True, output=output, uris=uris
+            )
+
         output = func(self.context, simple)
 
         if simple.redirect_path:

@@ -22,11 +22,12 @@ import numpy as np
 import pytest
 
 import repro
-from repro.analytics import StreamingAnalytics, replay_store_events
+from repro.analytics import AnalyticsConfig, StreamingAnalytics, replay_store_events
 from repro.core.classify import CATEGORIES, classify_store, category_shares
 from repro.core.clients import unique_client_count
 from repro.core.hashes import HashOccurrences, compute_hash_stats
 from repro.core.timeseries import daily_totals
+from repro.obs import use_metrics
 
 #: Small but structured: ~5k sessions, ~750 distinct clients (more than
 #: the 512-entry top-k capacity, so truncation paths are exercised),
@@ -158,6 +159,66 @@ class TestEventPathVsStorePath:
         first = replay_store_events(store)[:200]
         second = replay_store_events(store)[:200]
         assert first == second
+
+
+def _tiny_store(*hash_lists):
+    from repro.store.records import SessionRecord
+    from repro.store.store import StoreBuilder
+
+    builder = StoreBuilder()
+    for i, hashes in enumerate(hash_lists):
+        builder.append(SessionRecord(
+            start_time=86_400.0 * i, duration=8.0, honeypot_id="pot-a",
+            protocol="ssh", client_ip=10 + i, client_asn=i - 1,
+            client_country="US", n_login_attempts=1, login_success=True,
+            commands=("wget http://x/a",), uris=("http://x/a",),
+            file_hashes=tuple(hashes)))
+    return builder.build()
+
+
+class TestColumnarStoreIntake:
+    """The columnar ``ingest_store`` ends where the per-row event path does."""
+
+    def _both(self, store, config):
+        with use_metrics() as store_metrics:
+            columnar = StreamingAnalytics(config)
+            assert columnar.ingest_store(store) == len(store)
+        with use_metrics() as event_metrics:
+            per_row = StreamingAnalytics(config)
+            per_row.ingest_events(replay_store_events(store))
+        assert columnar == per_row
+        observed = "sketch.sessions_observed"
+        assert store_metrics.counter(observed) == len(store)
+        assert event_metrics.counter(observed) == len(store)
+        assert store_metrics.counter("sketch.store_sessions_ingested") == len(store)
+        return columnar
+
+    def test_truncated_topk_tables_equal_event_replay(self, store):
+        analytics = self._both(store, AnalyticsConfig(topk_capacity=8))
+        for table in (analytics.topk_hashes, analytics.topk_clients,
+                      analytics.topk_asns):
+            assert table.error() > 0  # every table reduced
+
+    def test_empty_store(self):
+        from repro.store.store import StoreBuilder
+
+        analytics = self._both(StoreBuilder().build(), AnalyticsConfig())
+        assert analytics == StreamingAnalytics()
+
+    def test_repeated_hash_counts_once_in_first_seen_order(self):
+        # Interned ids run aa=0, ff=1; the second session sees ff first.
+        store = _tiny_store(("aa",), ("ff", "aa", "ff"))
+        config = AnalyticsConfig(topk_capacity=8)
+        analytics = self._both(store, config)
+        assert analytics.cms_hashes.total == 3
+        assert analytics.hash_sessions_estimate("aa") == 2
+        assert analytics.hash_sessions_estimate("ff") == 1
+        assert dict(analytics.topk_hashes.counts) == {"aa": 2, "ff": 1}
+        seen = []
+        spy = StreamingAnalytics(config)
+        spy.topk_hashes.add = lambda key, count=1: seen.append(key)
+        spy.ingest_store(store)
+        assert seen == ["aa", "ff", "aa"]
 
 
 def _session_blocks(events):

@@ -20,6 +20,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.analytics import sketches
 from repro.analytics.sketches import (
     CountMinSketch,
     ExactCounter,
@@ -71,6 +72,90 @@ class TestHashing:
 
     def test_empty_input(self):
         assert len(hash_keys([], 1)) == 0
+
+
+U64_EDGES = (0, 1, 2**31, 2**32 - 1, 2**32, 2**63 - 1, 2**63, 2**64 - 2, 2**64 - 1)
+u64s = st.one_of(st.sampled_from(U64_EDGES), st.integers(0, 2**64 - 1))
+out_of_range = st.one_of(st.integers(max_value=-1), st.integers(min_value=2**64))
+seeds = st.integers(0, 2**64 - 1)
+int_or_str_lists = st.one_of(
+    st.lists(u64s, max_size=40), st.lists(st.text(max_size=12), max_size=40)
+)
+
+
+class TestScalarPathParity:
+    """The numpy-free scalar path leaves the same bits as the batch path."""
+
+    @given(values=st.lists(u64s, min_size=1, max_size=40), seed=seeds)
+    def test_hash_key_ints_equal_hash_keys(self, values, seed):
+        batch = [int(h) for h in hash_keys(values, seed)]
+        assert [hash_key(v, seed) for v in values] == batch
+
+    @given(values=st.lists(st.text(), min_size=1, max_size=20), seed=seeds)
+    def test_hash_key_strings_equal_hash_keys(self, values, seed):
+        batch = [int(h) for h in hash_keys(values, seed)]
+        assert [hash_key(v, seed) for v in values] == batch
+
+    @given(values=int_or_str_lists, p=st.sampled_from((4, 8, 12, 18)))
+    @settings(max_examples=50)
+    def test_hll_add_loop_equals_add_many(self, values, p):
+        loop, batch = HyperLogLog(SEED, "t", p), HyperLogLog(SEED, "t", p)
+        for value in values:
+            loop.add(value)
+        batch.add_many(values)
+        assert loop == batch
+
+    @pytest.mark.parametrize("p", (4, 12, 18))
+    def test_hll_rank_edges(self, monkeypatch, p):
+        # Identity hashing reaches the rank edge cases (all-zero tail,
+        # all-one tail, top bit only) that real hashes almost never hit.
+        monkeypatch.setattr(sketches, "hash_key", lambda value, seed: value)
+        monkeypatch.setattr(
+            sketches, "hash_keys",
+            lambda values, seed: np.asarray(values, dtype=np.uint64),
+        )
+        low = 64 - p
+        edges = [0, 1, 2**64 - 1, 1 << low, (1 << low) - 1, 1 << 63,
+                 (1 << 63) | 1, (5 << low) | (1 << (low - 1)), 3 << low]
+        loop, batch = HyperLogLog(SEED, "t", p), HyperLogLog(SEED, "t", p)
+        for value in edges:
+            loop.add(value)
+        batch.add_many(edges)
+        assert loop == batch
+        assert int(loop.registers.max()) == 65 - p
+
+    @given(
+        pairs=st.one_of(
+            st.lists(st.tuples(u64s, st.integers(0, 5)), max_size=40),
+            st.lists(st.tuples(st.text(max_size=12), st.integers(0, 5)),
+                     max_size=40),
+        )
+    )
+    @settings(max_examples=50)
+    def test_cms_add_loop_equals_add_many(self, pairs):
+        values = [v for v, _ in pairs]
+        counts = [n for _, n in pairs]
+        loop, batch = build_cms([]), build_cms([])
+        for value, count in pairs:
+            loop.add(value, count)
+        batch.add_many(values, counts)
+        assert loop == batch
+        ones_loop, ones_batch = build_cms([]), build_cms(values)
+        for value in values:
+            ones_loop.add(value)
+        assert ones_loop == ones_batch
+        assert ones_loop.total == len(values)
+
+    @given(value=out_of_range, seed=seeds)
+    def test_out_of_range_ints_rejected(self, value, seed):
+        with pytest.raises(OverflowError):
+            hash_key(value, seed)
+        with pytest.raises(OverflowError):
+            hash_keys([value], seed)
+        with pytest.raises(OverflowError):
+            HyperLogLog(SEED, "t", 8).add(value)
+        with pytest.raises(OverflowError):
+            build_cms([]).add(value)
 
 
 class TestHyperLogLog:

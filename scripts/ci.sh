@@ -156,6 +156,32 @@ if len(set(digests.values())) != 1:
 print(f"backend matrix ok (sha256 {next(iter(digests.values()))[:16]}... x3)")
 PY
 
+echo "== golden digests (inline / pool w=2 / serial equal the pinned table) =="
+# The table is tests/golden_digests.json, the one tests/test_golden_digests.py
+# reads; its "ci" entries are the scale-80000 stores of the stages above.
+python - <<'PY'
+import sys
+
+sys.path.insert(0, "tests")
+from test_golden_digests import GOLDEN, generate
+
+checked = []
+for entry in GOLDEN["stores"]:
+    if not entry.get("ci"):
+        continue
+    store = generate(entry).store
+    digest = store.content_digest()
+    if digest != entry["sha256"] or len(store) != entry["sessions"]:
+        raise SystemExit(
+            f"golden digest mismatch for {entry['name']}: {len(store)} "
+            f"sessions, sha256 {digest} (pinned {entry['sessions']}, "
+            f"{entry['sha256']})")
+    checked.append(f"{entry['name']} {digest[:16]}...")
+if not checked:
+    raise SystemExit("golden digest table has no ci entries")
+print("golden digests ok (" + ", ".join(checked) + ")")
+PY
+
 echo "== run-ledger determinism (inline w=1 vs pool w=2, strip-identical) =="
 python -m repro generate --scale 80000 --hash-scale 0.004 --seed 7 \
     --workers 1 --backend inline --out "$SCRATCH/ledger_a.npz" \

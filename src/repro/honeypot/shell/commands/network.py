@@ -11,9 +11,14 @@ flight).
 from __future__ import annotations
 
 from repro.honeypot.shell.base import CommandRegistry
-from repro.honeypot.shell.context import ShellContext
+from repro.honeypot.shell.context import DownloadRecord, ShellContext
 from repro.honeypot.shell.parser import SimpleCommand
 from repro.honeypot.uri import extract_uris
+
+
+def _cannot_open(tool: str, record: DownloadRecord) -> str:
+    """Busybox's text for an output file that would not open."""
+    return f"{tool}: can't open '{record.saved_path}': {record.open_error}"
 
 
 def _wget(ctx: ShellContext, cmd: SimpleCommand) -> str:
@@ -33,6 +38,8 @@ def _wget(ctx: ShellContext, cmd: SimpleCommand) -> str:
                 f"Connecting to {uri.split('/')[2]}... connected.\n"
                 f"'{record.saved_path}' saved [{record.size}]"
             )
+        elif record.open_error:
+            outputs.append(_cannot_open("wget", record))
         else:
             outputs.append(f"wget: can't connect to remote host: Connection refused")
     return "\n".join(outputs)
@@ -53,17 +60,20 @@ def _curl(ctx: ShellContext, cmd: SimpleCommand) -> str:
             to_file = True
     outputs = []
     for uri in uris:
-        if to_file:
-            record = ctx.record_download(uri, save_as=save_as)
-            if not record.success:
-                outputs.append(f"curl: (7) Failed to connect")
-        else:
-            # Output to stdout: still a fetch (hash recorded), path is temp.
-            record = ctx.record_download(uri, save_as="/tmp/.curl_stdout")
-            if record.success:
-                outputs.append(f"<payload {record.size} bytes>")
-            else:
-                outputs.append("curl: (7) Failed to connect")
+        # Output to stdout is still a fetch (hash recorded), to a temp path.
+        record = ctx.record_download(
+            uri, save_as=save_as if to_file else "/tmp/.curl_stdout"
+        )
+        if record.open_error:
+            outputs.append(
+                f"Warning: Failed to create the file {record.saved_path}: "
+                f"{record.open_error}\n"
+                "curl: (23) Failure writing output to destination"
+            )
+        elif not record.success:
+            outputs.append("curl: (7) Failed to connect")
+        elif not to_file:
+            outputs.append(f"<payload {record.size} bytes>")
     return "\n".join(outputs)
 
 
@@ -79,6 +89,8 @@ def _tftp(ctx: ShellContext, cmd: SimpleCommand) -> str:
     record = ctx.record_download(uris[0], save_as=save_as)
     if record.success:
         return ""
+    if record.open_error:
+        return _cannot_open("tftp", record)
     return "tftp: timeout"
 
 
@@ -91,6 +103,8 @@ def _ftpget(ctx: ShellContext, cmd: SimpleCommand) -> str:
     record = ctx.record_download(uris[0], save_as=save_as)
     if record.success:
         return ""
+    if record.open_error:
+        return _cannot_open("ftpget", record)
     return "ftpget: connect: Connection refused"
 
 
@@ -116,6 +130,8 @@ def _scp(ctx: ShellContext, cmd: SimpleCommand) -> str:
         record = ctx.record_download(uris[0])
         if record.success:
             return ""
+        if record.open_error:
+            return f"scp: {record.saved_path}: {record.open_error}"
     return "ssh: connect to host: Connection refused"
 
 

@@ -35,7 +35,10 @@ class DownloadRecord:
     size: int
     duration: float
     success: bool
+    #: Where the payload was saved; with ``open_error``, where it was not.
     saved_path: Optional[str] = None
+    #: Why the output file could not be opened (``"Is a directory"``).
+    open_error: Optional[str] = None
 
 
 @dataclass
@@ -66,6 +69,16 @@ class ShellContext:
 
     def record_download(self, uri: str, save_as: Optional[str] = None) -> DownloadRecord:
         """Fetch ``uri`` via the resolver, store the payload, record it."""
+        path = save_as or self._default_save_path(uri)
+        if self.fs.is_dir(path):
+            # Fetchers open their output before saving; onto a directory
+            # that open fails, so nothing is written and no hash recorded.
+            record = DownloadRecord(
+                uri=uri, sha256=None, size=0, duration=0.0, success=False,
+                saved_path=path, open_error="Is a directory",
+            )
+            self.downloads.append(record)
+            return record
         payload = self.resolver.fetch(uri)
         if payload is None:
             record = DownloadRecord(
@@ -74,7 +87,6 @@ class ShellContext:
             )
             self.downloads.append(record)
             return record
-        path = save_as or self._default_save_path(uri)
         change = self.record_write(path, payload)
         record = DownloadRecord(
             uri=uri,

@@ -1,12 +1,14 @@
 """Vectorized block session engine.
 
-The scalar emission path hands every per-day session block straight to the
-store builder: correct, but thousands of small day-blocks mean thousands of
-small column extends and hash conversions.  The block engine buffers those
-blocks (and the stray scalar rows from singleton writers) in emission order
-and flushes them as ONE ``append_block`` per builder — one concatenate per
-column, one CSR hash adoption — without touching interning order or any RNG
-stream, so the frozen store is byte-identical to the scalar path.
+Every emitter is a day kernel (see :mod:`repro.workload.generator`): it
+draws day by day into a :class:`~repro.workload.emit.DayDraws`, derives
+the columns once per call, and hands the builder ONE block per kernel
+call.  The block emitter buffers those blocks (and the stray scalar rows
+from singleton writers) in emission order and flushes them as ONE
+``append_block`` per builder -- one concatenate per column, one CSR hash
+adoption -- without touching interning order or any RNG stream, so the
+frozen store is byte-identical to the scalar path, which writes each
+block straight through.
 
 Selection is by environment: ``REPRO_EMIT_PATH=block`` (the default) or
 ``scalar``.  :func:`make_emitter` is the single construction seam used by
@@ -83,6 +85,11 @@ class TransitionTable:
     def sample(self, rng: RngStream, size: int) -> np.ndarray:
         """``size`` next-state indices in ``[0, n)``."""
         return np.asarray(rng.choice_indices(self.n, size=size, cdf=self.cdf))
+
+    def index(self, u: np.ndarray) -> np.ndarray:
+        """Next-state indices for uniform draws ``u`` (what :meth:`sample`
+        returns for the same ``random`` draws)."""
+        return self.cdf.searchsorted(u, side="right")
 
 
 def _hash_piece(hash_ids: HashIdsArg, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -23,12 +23,24 @@ from repro.obs import inc as _metric_inc
 from repro.obs.trace import emit_block as _trace_block
 from repro.simulation.rng import RngStream
 from repro.workload.config import ScenarioConfig
-from repro.workload.emit import SessionEmitter
-from repro.workload.samplers import cmd_fields, protocol_array
+from repro.workload.emit import (
+    SECONDS_PER_DAY,
+    DayDraws,
+    SessionEmitter,
+    client_columns,
+    gather_hash_rows,
+)
+from repro.workload.samplers import cmd_derive, cmd_draws, protocol_from
 from repro.workload.script_runner import ScriptProfile, ScriptRunner
-from repro.workload.targets import TargetSet, build_subset, subset_selector
-
-SECONDS_PER_DAY = 86_400
+from repro.workload.targets import (
+    LocalityPools,
+    PackedTargets,
+    TargetSet,
+    build_subset,
+    locality_pools,
+    locality_redirects,
+    subset_selector,
+)
 
 #: Script kinds that produce CMD+URI sessions (remote fetches).
 URI_KINDS = (ScriptKind.DROPPER, ScriptKind.MINER)
@@ -62,6 +74,10 @@ class RealizedCampaign:
         return sum(self.schedule.values())
 
 
+#: ``(campaign, day, sessions, stream)``: one campaign day for the kernel.
+CampaignDay = Tuple[RealizedCampaign, int, int, RngStream]
+
+
 class CampaignEngine:
     """Realises and emits campaigns against the shared builder."""
 
@@ -90,10 +106,7 @@ class CampaignEngine:
         self.n_pots = len(pot_countries)
         self._group_subsets: Dict[str, np.ndarray] = {}
         self._shared_pools: Dict[str, np.ndarray] = {}
-        self._locality_cache: Dict[
-            str, Tuple[Dict[object, np.ndarray], Dict[str, np.ndarray]]
-        ] = {}
-        self._locality_csr: Dict[str, Tuple[np.ndarray, ...]] = {}
+        self._locality_csr: Dict[str, LocalityPools] = {}
 
     # -- realisation ------------------------------------------------------------
 
@@ -290,184 +303,127 @@ class CampaignEngine:
     # -- emission ----------------------------------------------------------------
 
     def emit(self, campaign: RealizedCampaign) -> int:
-        """Emit all sessions for one realised campaign. Returns the count."""
+        """Emit all sessions for one realised campaign, its days sharing one
+        stream (the serial family). Returns the count."""
         rng = self.rng.child(f"emit.{campaign.spec.campaign_id}")
-        emitted = 0
-        for day, n in sorted(campaign.schedule.items()):
-            emitted += self.emit_day(campaign, day, n, rng)
-        return emitted
+        return self.emit_days(
+            (campaign, day, n, rng) for day, n in sorted(campaign.schedule.items())
+        )
 
-    def emit_campaign_day(
-        self, campaign: RealizedCampaign, day: int, n: int
-    ) -> int:
-        """Sharded-path emission of one campaign day from its own stream."""
-        rng = self.rng.child(f"emit.{campaign.spec.campaign_id}.d{day}")
-        return self.emit_day(campaign, day, n, rng)
+    def day_streams(
+        self, campaign: RealizedCampaign, days: Iterable[int]
+    ) -> Iterator[CampaignDay]:
+        """Kernel input for the sharded family: each campaign day draws from
+        its own stream ``emit.<campaign>.d<day>``."""
+        prefix = f"emit.{campaign.spec.campaign_id}.d"
+        for day in days:
+            yield (campaign, day, campaign.schedule[day],
+                   self.rng.child(f"{prefix}{day}"))
 
-    def emit_day(
-        self, campaign: RealizedCampaign, day: int, n: int, rng: RngStream
-    ) -> int:
-        """Emit one day of a campaign. Returns the session count (== ``n``)."""
+    def emit_days(self, units: Iterable[CampaignDay]) -> int:
+        """Emit campaign days as one block. Returns the session count.
+
+        The day kernel of campaign traffic (see the generator's background
+        kernels): per day only the draws -- member multinomial, start,
+        protocol, fields, pot, locality redirect, password, versions --
+        then one derivation over the shard, with each row's campaign
+        attributes gathered by its block's campaign.
+        """
         pop = self.population
-        is_uri = campaign.spec.kind in URI_KINDS
-        pool = campaign.pool
-
-        members = campaign.members_by_day.get(day)
-        if members is None or len(members) == 0:
-            members = np.arange(len(pool))
-        weights = campaign.pool_weights[members]
-        counts = rng.multinomial(n, weights / weights.sum())
-        active = np.nonzero(counts)[0]
-        clients = np.repeat(pool[members[active]], counts[active])
-        m = len(clients)
-        if m == 0:
+        emitter = self.emitter
+        bias = self.config.uri_locality_bias
+        d = DayDraws()
+        campaigns: List[RealizedCampaign] = []
+        slots: Dict[str, int] = {}
+        sessions: Dict[str, int] = {}
+        for campaign, day, n, rng in units:
+            cid = campaign.spec.campaign_id
+            slot = slots.get(cid)
+            if slot is None:
+                slot = slots[cid] = len(campaigns)
+                campaigns.append(campaign)
+            members = campaign.members_by_day.get(day)
+            if members is None or len(members) == 0:
+                members = np.arange(len(campaign.pool))
+            weights = campaign.pool_weights[members]
+            counts = rng.multinomial(n, weights / weights.sum())
+            if n <= 0:
+                continue
+            active = np.nonzero(counts)[0]
+            clients = np.repeat(campaign.pool[members[active]], counts[active])
+            first = d.unit(day, n, slot)
+            d.put("clients", clients)
+            d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n))
+            u = rng.random_array(n)
+            d.put("proto", u)
+            d.put("fields", cmd_draws(rng, n))
+            d.put("pot", rng.random_array(n))
+            if bias > 0 and campaign.spec.kind in URI_KINDS:
+                moved = locality_redirects(
+                    rng, rng.random_array(n), bias, clients, pop.country,
+                    self._locality_pools(campaign),
+                )
+                if moved is not None:
+                    d.put("moved_rows", first + moved[0])
+                    d.put("moved_pots", moved[1])
+            if campaign.password_id < 0:
+                d.put("pw", rng.random_array(n))
+            emitter.draw_versions(rng, d, u < campaign.spec.ssh_share)
+            category = campaign.category
+            sessions[category] = sessions.get(category, 0) + n
+            _trace_block(f"emit.{cid}", day, n, campaign=cid,
+                         session_kind=category)
+        if not d.n:
             return 0
 
-        start = day * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, m)
-        protocol = protocol_array(rng, m, campaign.spec.ssh_share)
-        exec_seconds = np.full(m, campaign.profile.exec_seconds)
-        duration, close, attempts = cmd_fields(rng, m, exec_seconds)
+        slot_rows = d.rows(d.tags)
 
-        pots = self._choose_pots(rng, campaign, clients, m, is_uri)
+        def per_row(values, dtype) -> np.ndarray:
+            return np.array(values, dtype=dtype)[slot_rows]
 
-        if campaign.password_id >= 0:
-            password = np.full(m, campaign.password_id, dtype=np.int32)
-        else:
-            password = self.emitter.success_passwords(rng, m)
-        username = np.full(m, self.emitter.root_id, dtype=np.int32)
-        versions = self.emitter.client_versions(rng, m, protocol)
-
-        self.emitter.append_block(
-            start_time=start,
+        exec_seconds = per_row([c.profile.exec_seconds for c in campaigns], None)
+        duration, close, attempts = cmd_derive(exec_seconds, *d.cat("fields"))
+        pots = PackedTargets([c.selector for c in campaigns]).choose(
+            slot_rows, d.cat("pot")
+        ).astype(np.int32)
+        pots[d.cat("moved_rows", np.int64)] = d.cat("moved_pots", np.int32)
+        password = per_row([c.password_id for c in campaigns], np.int32)
+        password[password < 0] = emitter.success_from(d.cat("pw"))
+        emitter.append_draws(
+            d,
+            protocol_from(d.cat("proto"),
+                          per_row([c.spec.ssh_share for c in campaigns], None)),
             duration=duration,
             honeypot=pots,
-            protocol=protocol,
-            client_ip=pop.ip[clients],
-            client_asn=pop.asn[clients],
-            client_country=pop.country[clients].astype(np.int32),
+            **client_columns(pop, d.cat("clients")),
             n_attempts=attempts,
-            login_success=np.ones(m, dtype=bool),
-            script_id=np.full(m, campaign.script_id, dtype=np.int32),
+            login_success=np.ones(d.n, dtype=bool),
+            script_id=per_row([c.script_id for c in campaigns], np.int32),
             password_id=password,
-            username_id=username,
-            hash_ids=campaign.hash_ids,
+            username_id=np.full(d.n, emitter.root_id, dtype=np.int32),
+            hash_ids=gather_hash_rows([c.hash_ids for c in campaigns], slot_rows),
             close_reason=close,
-            version_id=versions,
         )
-        _metric_inc(f"generator.sessions.{campaign.category}", m)
-        _metric_inc("generator.campaign_days")
-        _metric_inc("generator.campaign_sessions", m)
-        _trace_block(f"emit.{campaign.spec.campaign_id}", day, m,
-                     campaign=campaign.spec.campaign_id,
-                     session_kind=campaign.category)
-        return m
+        for category, count in sessions.items():
+            _metric_inc(f"generator.sessions.{category}", count)
+        _metric_inc("generator.campaign_days", len(d.sizes))
+        _metric_inc("generator.campaign_sessions", d.n)
+        return d.n
 
-    def _locality_subsets(
-        self, campaign: RealizedCampaign
-    ) -> Tuple[Dict[object, np.ndarray], Dict[str, np.ndarray]]:
-        """Campaign pot subset grouped by continent and country (cached).
-
-        The grouping is a pure function of the campaign's fixed pot subset,
-        so computing it once per campaign instead of once per emitted day
-        consumes no extra randomness.
-        """
-        cached = self._locality_cache.get(campaign.spec.campaign_id)
-        if cached is not None:
-            return cached
-        by_continent: Dict[object, np.ndarray] = {}
-        # dict.fromkeys dedups in first-occurrence order — set iteration
-        # order here would leak the hash seed into dict insertion order.
-        for continent in dict.fromkeys(self.pot_continents):
-            by_continent[continent] = np.array(
-                [p for p in campaign.pot_subset
-                 if self.pot_continents[p] is continent],
-                dtype=np.int32,
-            )
-        by_country: Dict[str, np.ndarray] = {}
-        for country in dict.fromkeys(self.pot_countries):
-            by_country[country] = np.array(
-                [p for p in campaign.pot_subset
-                 if self.pot_countries[p] == country],
-                dtype=np.int32,
-            )
-        cached = (by_continent, by_country)
-        self._locality_cache[campaign.spec.campaign_id] = cached
-        return cached
-
-    def _locality_pools(self, campaign: RealizedCampaign) -> Tuple[np.ndarray, ...]:
-        """CSR locality pools per *population* country index.
-
-        ``(flat, c_off, c_len, k_off, k_len)``: for a client from country
-        index ``i``, the campaign subset's same-country pots are
-        ``flat[c_off[i]:c_off[i]+c_len[i]]`` and its same-continent pots
-        ``flat[k_off[i]:k_off[i]+k_len[i]]``.  Derived purely from the
-        cached :meth:`_locality_subsets` grouping — consumes no RNG.
-        """
+    def _locality_pools(self, campaign: RealizedCampaign) -> LocalityPools:
+        """The campaign subset's locality pools per population country
+        (cached per campaign; a pure function of the fixed subset, no RNG)."""
         cached = self._locality_csr.get(campaign.spec.campaign_id)
-        if cached is not None:
-            return cached
-        by_continent, by_country = self._locality_subsets(campaign)
-        codes = self.population.country_codes
-        n = len(codes)
-        flat_parts = []
-        c_off = np.zeros(n, np.int64)
-        c_len = np.zeros(n, np.int64)
-        k_off = np.zeros(n, np.int64)
-        k_len = np.zeros(n, np.int64)
-        pos = 0
-        for i, cc in enumerate(codes):
-            pool = by_country.get(cc)
-            if pool is not None and len(pool):
-                c_off[i] = pos
-                c_len[i] = len(pool)
-                flat_parts.append(pool)
-                pos += len(pool)
-        for i, cc in enumerate(codes):
-            pool = by_continent.get(continent_of(cc))
-            if pool is not None and len(pool):
-                k_off[i] = pos
-                k_len[i] = len(pool)
-                flat_parts.append(pool)
-                pos += len(pool)
-        flat = np.concatenate(flat_parts) if flat_parts else np.zeros(0, np.int32)
-        cached = (flat, c_off, c_len, k_off, k_len)
-        self._locality_csr[campaign.spec.campaign_id] = cached
+        if cached is None:
+            by_country: Dict[str, List[int]] = {}
+            by_continent: Dict[object, List[int]] = {}
+            for pot in campaign.pot_subset.tolist():
+                by_country.setdefault(self.pot_countries[pot], []).append(pot)
+                by_continent.setdefault(self.pot_continents[pot], []).append(pot)
+            cached = locality_pools(
+                self.population.country_codes,
+                lambda code: by_country.get(code, []),
+                lambda continent: by_continent.get(continent, []),
+            )
+            self._locality_csr[campaign.spec.campaign_id] = cached
         return cached
-
-    def _choose_pots(
-        self,
-        rng: RngStream,
-        campaign: RealizedCampaign,
-        clients: np.ndarray,
-        m: int,
-        locality_bias: bool,
-    ) -> np.ndarray:
-        """Per-session pot selection, with a locality bias for URI kinds.
-
-        CMD+URI sessions originate markedly closer to their targets in the
-        paper (Fig 16b); with probability 0.45 a URI session is redirected
-        to a pot on the client's own continent when the campaign's subset
-        has one.
-        """
-        u = rng.random_array(m)
-        pots = campaign.selector.choose_many(u).astype(np.int32, copy=True)
-        bias = self.config.uri_locality_bias
-        if not locality_bias or bias <= 0:
-            return pots
-        redirect = rng.random_array(m)
-        hit = np.flatnonzero(redirect < bias)
-        if hit.size == 0:
-            return pots
-        # One batched varying-bound draw covers every redirected session;
-        # numpy's bounded-integer sampler makes it bit-identical to the
-        # scalar per-session randint loop this replaced.
-        flat, c_off, c_len, k_off, k_len = self._locality_pools(campaign)
-        ci = self.population.country[clients[hit]].astype(np.int64)
-        use_country = (redirect[hit] < 0.4 * bias) & (c_len[ci] > 0)
-        bounds = np.where(use_country, c_len[ci], k_len[ci])
-        offs = np.where(use_country, c_off[ci], k_off[ci])
-        drawable = bounds > 0
-        if drawable.any():
-            picks = rng.randint_array(0, bounds[drawable])
-            pots[hit[drawable]] = flat[offs[drawable] + picks]
-        return pots

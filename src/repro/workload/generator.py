@@ -14,11 +14,23 @@ one :class:`~repro.workload.dataset.HoneyfarmDataset`:
    CMD+URI droppers and singleton file writers) following the calibrated
    daily envelopes;
 5. freeze the columnar store.
+
+Emission runs through day kernels, one per traffic kind (``_no_cred_days``,
+``_fail_log_days``, ``_no_cmd_days``, ``_bg_cmd_days``, ``_bg_uri_days``
+here, ``CampaignEngine.emit_days`` for campaigns).  A kernel takes
+``(day, sessions, stream)`` triples -- each day's own named stream in the
+sharded family, one shared stream in the serial family -- and does only
+the draws per day, in the order and sizes of emitting that day alone.  It
+then derives every column in one vectorised pass over the concatenated
+draws and appends one block.  Background target choice is one
+``searchsorted`` over all clients' packed target sets
+(:class:`~repro.workload.targets.PackedTargets`), and the activity
+calendar is a CSR array per category.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
 
@@ -42,23 +54,40 @@ from repro.workload.blocks import make_emitter
 from repro.workload.campaign_engine import CampaignEngine, RealizedCampaign, URI_KINDS
 from repro.workload.config import SSH_SHARE, ScenarioConfig
 from repro.workload.dataset import CampaignRuntime, HoneyfarmDataset
+from repro.workload.emit import (
+    SECONDS_PER_DAY,
+    DayDraws,
+    client_columns,
+    gather_hash_rows,
+)
 from repro.workload.samplers import (
+    cmd_derive,
+    cmd_draws,
     cmd_fields,
-    fail_log_fields,
-    no_cmd_fields,
-    no_cred_fields,
+    fail_log_derive,
+    fail_log_draws,
+    no_cmd_derive,
+    no_cmd_draws,
+    no_cred_derive,
+    no_cred_draws,
     protocol_array,
+    protocol_from,
 )
 from repro.workload.script_runner import ScriptRunner
-from repro.workload.targets import TargetIndex, TargetSet
+from repro.workload.targets import (
+    LocalityPools,
+    PackedTargets,
+    TargetIndex,
+    TargetSet,
+    locality_pools,
+    locality_redirects,
+)
 from repro.workload.temporal import (
     build_envelopes,
     honeypot_weight_vectors,
     ru_edge_weight,
     sample_active_days,
 )
-
-SECONDS_PER_DAY = 86_400
 
 _ROLE_CATEGORY = [
     (ClientRole.SCAN, "NO_CRED"),
@@ -92,6 +121,33 @@ def _rescale_schedule(schedule: Dict[int, int], factor: float) -> Dict[int, int]
         out[day] -= removable
         surplus -= removable
     return out
+
+
+#: ``(day, sessions, stream)``: one day of work for a day kernel.
+DayStream = Tuple[int, int, RngStream]
+
+#: DayDraws tag of a day's fixed-source block: a FAIL_LOG spike burst or
+#: the NO_CMD Russian-prefix share (both precede the day's regular rows).
+_BURST = 1
+
+
+def day_streams(
+    base: RngStream, budgets: np.ndarray, days: Iterable[int], per_day: bool = False
+) -> Iterator[DayStream]:
+    """Kernel input for each of ``days`` with a positive budget.
+
+    ``per_day`` draws every day from its own stream ``<base>.d<day>`` (the
+    sharded family); otherwise all days share ``base`` (the serial family).
+    """
+    for day in days:
+        n = int(budgets[day])
+        if n > 0:
+            yield day, n, base.child(f"d{day}") if per_day else base
+
+
+def _inc_nonzero(name: str, n: int) -> None:
+    if n:
+        _metric_inc(name, n)
 
 
 def _daily_budgets(total: int, envelope: np.ndarray) -> np.ndarray:
@@ -168,6 +224,7 @@ class TraceGenerator:
         self.targets: List[TargetSet] = self.target_index.build_for(
             self.population.breadth
         )
+        self.packed_targets = PackedTargets(self.targets)
 
         self.runner = ScriptRunner()
         self.intel = IntelDatabase()
@@ -184,38 +241,49 @@ class TraceGenerator:
             pot_countries=self.pot_countries,
         )
 
-        self._day_buckets: Dict[str, List[List[int]]] = {}
+        self._day_buckets: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
         self._campaign_sessions = {"CMD": 0, "CMD_URI": 0}
         self.realized: List[RealizedCampaign] = []
-        self._locality_cache: Optional[Tuple[np.ndarray, ...]] = None
+        self._locality_cache: Optional[LocalityPools] = None
 
     # -- client activity calendar --------------------------------------------
 
     def _build_day_buckets(self) -> None:
+        """Per-category CSR day buckets: ``(clients, offsets)`` with day
+        ``d``'s active clients at ``clients[offsets[d]:offsets[d + 1]]``,
+        in population order."""
         n_days = self.config.n_days
-        buckets: Dict[str, List[List[int]]] = {
-            cat: [[] for _ in range(n_days)] for _, cat in _ROLE_CATEGORY
-        }
         rng = self.rng.child("calendar")
         pop = self.population
         scan_env = self.envelopes["NO_CRED"]
-        for i in range(len(pop)):
-            days = sample_active_days(
-                rng, int(pop.first_day[i]), int(pop.n_days[i]), scan_env
-            )
-            mask = int(pop.roles[i])
-            for role, cat in _ROLE_CATEGORY:
-                if mask & int(role):
-                    cat_buckets = buckets[cat]
-                    for d in days:
-                        if d < n_days:
-                            cat_buckets[d].append(i)
+        active = [
+            sample_active_days(rng, int(pop.first_day[i]), int(pop.n_days[i]),
+                               scan_env)
+            for i in range(len(pop))
+        ]
+        counts = np.fromiter(map(len, active), np.int64, count=len(active))
+        days = (np.concatenate(active).astype(np.int64) if active
+                else np.zeros(0, np.int64))
+        owners = np.repeat(np.arange(len(pop), dtype=np.int64), counts)
+        keep = days < n_days
+        days, owners = days[keep], owners[keep]
+        roles = pop.roles[owners].astype(np.int64)
+        buckets: Dict[str, Tuple[np.ndarray, np.ndarray]] = {}
+        for role, cat in _ROLE_CATEGORY:
+            has = (roles & int(role)) != 0
+            cat_days = days[has]
+            offsets = np.zeros(n_days + 1, np.int64)
+            np.cumsum(np.bincount(cat_days, minlength=n_days), out=offsets[1:])
+            # A stable sort by day keeps each day's clients in population order.
+            order = np.argsort(cat_days, kind="stable")
+            buckets[cat] = (owners[has][order], offsets)
         self._day_buckets = buckets
 
     def _active_clients(self, category: str, day: int, rng: RngStream) -> np.ndarray:
-        bucket = self._day_buckets[category][day]
-        if bucket:
-            return np.asarray(bucket, dtype=np.int64)
+        clients, offsets = self._day_buckets[category]
+        lo, hi = offsets[day], offsets[day + 1]
+        if hi > lo:
+            return clients[lo:hi]
         role = next(r for r, cat in _ROLE_CATEGORY if cat == category)
         candidates = self.population.with_role(role)
         if len(candidates) == 0:
@@ -224,7 +292,17 @@ class TraceGenerator:
         picked = rng.choice_indices(len(candidates), size=k, replace=False)
         return candidates[np.asarray(picked)]
 
-    # -- shared emission helpers ------------------------------------------------
+    # -- day kernels ---------------------------------------------------------------
+    #
+    # Each kernel takes ``(day, sessions, stream)`` triples (``day_streams``)
+    # and works in two steps.  Per day it only draws: every draw from that
+    # day's stream, in the same order and sizes as emitting the day alone,
+    # buffered in a DayDraws; draws sized by earlier draws (multinomial
+    # counts, offered client versions, locality bounds) are sized per day.
+    # Then one vectorised pass derives every column over the concatenated
+    # draws and one append_block writes the rows.  Elementwise numpy
+    # commutes with concatenation, so the rows equal day-by-day emission
+    # bit for bit.
 
     def _expand_day(
         self, rng: RngStream, clients: np.ndarray, n_sessions: int
@@ -235,68 +313,48 @@ class TraceGenerator:
         nz = np.nonzero(counts)[0]
         return np.repeat(clients[nz], counts[nz])
 
-    def _pots_for(self, rng: RngStream, session_clients: np.ndarray) -> np.ndarray:
-        m = len(session_clients)
-        u = rng.random_array(m)
-        if m == 0:
-            return np.zeros(0, dtype=np.int32)
-        # ``_expand_day`` emits contiguous runs per client (np.repeat), so
-        # one vectorised searchsorted per run covers the whole day; the
-        # draws are the exact same uniforms the scalar path consumed.
-        out = np.empty(m, dtype=np.int32)
-        targets = self.targets
-        boundaries = np.flatnonzero(np.diff(session_clients)) + 1
-        starts = np.concatenate(([0], boundaries))
-        ends = np.concatenate((boundaries, [m]))
-        for s, e in zip(starts, ends):
-            out[s:e] = targets[int(session_clients[s])].choose_many(u[s:e])
-        return out
-
-    def _start_times(self, rng: RngStream, day: int, n: int) -> np.ndarray:
-        return day * SECONDS_PER_DAY + rng.uniform_array(0, SECONDS_PER_DAY, n)
-
-    # -- category emitters ---------------------------------------------------------
-
     def _emit_no_cred(self) -> None:
-        budget = self.config.sessions_for("NO_CRED")
-        budgets = _daily_budgets(budget, self.envelopes["NO_CRED"])
-        rng = self.rng.child("no_cred")
-        for day in range(self.config.n_days):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            self._no_cred_day(rng, day, n)
+        budgets = _daily_budgets(self.config.sessions_for("NO_CRED"),
+                                 self.envelopes["NO_CRED"])
+        self._no_cred_days(day_streams(self.rng.child("no_cred"), budgets,
+                                       range(self.config.n_days)))
 
-    def _no_cred_day(self, rng: RngStream, day: int, n: int) -> None:
-        pop = self.population
-        clients = self._active_clients("NO_CRED", day, rng)
-        if len(clients) == 0:
+    def _no_cred_days(self, days: Iterable[DayStream]) -> None:
+        share = SSH_SHARE["NO_CRED"]
+        d = DayDraws()
+        for day, n, rng in days:
+            clients = self._active_clients("NO_CRED", day, rng)
+            if len(clients) == 0:
+                continue
+            d.unit(day, n)
+            d.put("idx", self._expand_day(rng, clients, n))
+            d.put("fields", no_cred_draws(rng, n))
+            u = rng.random_array(n)
+            d.put("proto", u)
+            d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n))
+            d.put("pot", rng.random_array(n))
+            self.emitter.draw_versions(rng, d, u < share)
+            _trace_block("no_cred", day, n)
+        if not d.n:
             return
-        idx = self._expand_day(rng, clients, n)
-        m = len(idx)
-        duration, close = no_cred_fields(rng, m)
-        protocol = protocol_array(rng, m, SSH_SHARE["NO_CRED"])
-        neg = np.full(m, -1, dtype=np.int32)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        idx = d.cat("idx")
+        duration, close = no_cred_derive(*d.cat("fields"))
+        neg = np.full(d.n, -1, dtype=np.int32)
+        self.emitter.append_draws(
+            d, protocol_from(d.cat("proto"), share),
             duration=duration,
-            honeypot=self._pots_for(rng, idx),
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
-            n_attempts=np.zeros(m, dtype=np.uint16),
-            login_success=np.zeros(m, dtype=bool),
+            honeypot=self.packed_targets.choose(idx, d.cat("pot")),
+            **client_columns(self.population, idx),
+            n_attempts=np.zeros(d.n, dtype=np.uint16),
+            login_success=np.zeros(d.n, dtype=bool),
             script_id=neg,
             password_id=neg,
             username_id=neg,
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
         )
-        _metric_inc("generator.sessions.NO_CRED", m)
-        _metric_inc("generator.days.NO_CRED")
-        _trace_block("no_cred", day, m)
+        _metric_inc("generator.sessions.NO_CRED", d.n)
+        _metric_inc("generator.days.NO_CRED", len(d.sizes))
 
     def _fail_log_setup(
         self, rng: RngStream
@@ -323,107 +381,91 @@ class TraceGenerator:
         return spike_days, spike_client_idx, spike_pots
 
     def _emit_fail_log(self) -> None:
-        budget = self.config.sessions_for("FAIL_LOG")
-        budgets = _daily_budgets(budget, self.envelopes["FAIL_LOG"])
+        budgets = _daily_budgets(self.config.sessions_for("FAIL_LOG"),
+                                 self.envelopes["FAIL_LOG"])
         # Explicit sequential handoff: this stream is passed to the
         # sampler/emit helpers, which draw on its behalf in one fixed
         # order inside one task — not shared cross-module state.
         rng = self.rng.child("fail_log")  # repro: lint-ok[rng-lineage]
         baseline = float(np.median(budgets[budgets > 0])) if (budgets > 0).any() else 0.0
         spike = self._fail_log_setup(rng)
+        self._fail_log_days(
+            day_streams(rng, budgets, range(self.config.n_days)), baseline, spike
+        )
 
-        for day in range(self.config.n_days):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            self._fail_log_day(rng, day, n, baseline, spike)
-
-    def _fail_log_day(
+    def _fail_log_days(
         self,
-        rng: RngStream,
-        day: int,
-        n: int,
+        days: Iterable[DayStream],
         baseline: float,
         spike: Tuple[set, np.ndarray, np.ndarray],
     ) -> None:
-        spike_days, spike_client_idx, spike_pots = spike
-        pop = self.population
-        if day in spike_days and len(spike_client_idx) and n > baseline:
-            surplus = int(n - baseline)
-            self._emit_fail_log_spike(rng, day, surplus,
-                                      spike_client_idx, spike_pots)
-            n -= surplus
-            if n <= 0:
-                return
-        clients = self._active_clients("FAIL_LOG", day, rng)
-        if len(clients) == 0:
-            return
-        idx = self._expand_day(rng, clients, n)
-        m = len(idx)
-        protocol = protocol_array(rng, m, SSH_SHARE["FAIL_LOG"])
-        duration, close, attempts = fail_log_fields(rng, m, protocol == 0)
-        users, passwords = self.emitter.fail_credentials(rng, m)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
-            duration=duration,
-            honeypot=self._pots_for(rng, idx),
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
-            n_attempts=attempts,
-            login_success=np.zeros(m, dtype=bool),
-            script_id=np.full(m, -1, dtype=np.int32),
-            password_id=passwords,
-            username_id=users,
-            hash_ids=None,
-            close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
-        )
-        _metric_inc("generator.sessions.FAIL_LOG", m)
-        _metric_inc("generator.days.FAIL_LOG")
-        _trace_block("fail_log", day, m)
+        """FAIL_LOG days; on a spike day, a burst from few clients against
+        few pots precedes the day's regular rows."""
+        spike_days, spike_clients, spike_pots = spike
+        share = SSH_SHARE["FAIL_LOG"]
+        emitter = self.emitter
+        d = DayDraws()
 
-    def _emit_fail_log_spike(
-        self,
-        rng: RngStream,
-        day: int,
-        n: int,
-        spike_clients: np.ndarray,
-        spike_pots: np.ndarray,
-    ) -> None:
-        """Emit a FAIL_LOG burst from few clients against few pots."""
-        pop = self.population
-        counts = rng.multinomial(n, np.ones(len(spike_clients)))
-        nz = np.nonzero(counts)[0]
-        idx = np.repeat(spike_clients[nz], counts[nz])
-        m = len(idx)
-        if m == 0:
+        def draw_sessions(rng: RngStream, day: int, m: int, tag: int) -> np.ndarray:
+            d.unit(day, m, tag)
+            u = rng.random_array(m)
+            d.put("proto", u)
+            d.put("fields", fail_log_draws(rng, m))
+            d.put("creds", emitter.fail_credential_draws(rng, m))
+            return u < share
+
+        for day, n, rng in days:
+            if day in spike_days and len(spike_clients) and n > baseline:
+                surplus = int(n - baseline)
+                counts = rng.multinomial(surplus, np.ones(len(spike_clients)))
+                if surplus:
+                    nz = np.nonzero(counts)[0]
+                    is_ssh = draw_sessions(rng, day, surplus, _BURST)
+                    d.put("idx", np.repeat(spike_clients[nz], counts[nz]))
+                    d.put("burst_pot",
+                          rng.choice_indices(len(spike_pots), size=surplus))
+                    d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, surplus))
+                    emitter.draw_versions(rng, d, is_ssh)
+                    _trace_block("fail_log", day, surplus, spike=True)
+                n -= surplus
+                if n <= 0:
+                    continue
+            clients = self._active_clients("FAIL_LOG", day, rng)
+            if len(clients) == 0:
+                continue
+            idx = self._expand_day(rng, clients, n)
+            is_ssh = draw_sessions(rng, day, n, 0)
+            d.put("idx", idx)
+            d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n))
+            d.put("pot", rng.random_array(n))
+            emitter.draw_versions(rng, d, is_ssh)
+            _trace_block("fail_log", day, n)
+        if not d.n:
             return
-        protocol = protocol_array(rng, m, SSH_SHARE["FAIL_LOG"])
-        duration, close, attempts = fail_log_fields(rng, m, protocol == 0)
-        users, passwords = self.emitter.fail_credentials(rng, m)
-        pot_pick = rng.choice_indices(len(spike_pots), size=m)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        idx = d.cat("idx")
+        burst = d.rows(d.tags) == _BURST
+        protocol = protocol_from(d.cat("proto"), share)
+        duration, close, attempts = fail_log_derive(protocol == 0, *d.cat("fields"))
+        users, passwords = emitter.fail_credentials_from(*d.cat("creds"))
+        pots = np.empty(d.n, dtype=np.int32)
+        pots[burst] = spike_pots[d.cat("burst_pot", np.int64)]
+        pots[~burst] = self.packed_targets.choose(idx[~burst], d.cat("pot"))
+        emitter.append_draws(
+            d, protocol,
             duration=duration,
-            honeypot=spike_pots[np.asarray(pot_pick)],
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
+            honeypot=pots,
+            **client_columns(self.population, idx),
             n_attempts=attempts,
-            login_success=np.zeros(m, dtype=bool),
-            script_id=np.full(m, -1, dtype=np.int32),
+            login_success=np.zeros(d.n, dtype=bool),
+            script_id=np.full(d.n, -1, dtype=np.int32),
             password_id=passwords,
             username_id=users,
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
         )
-        _metric_inc("generator.sessions.FAIL_LOG", m)
-        _metric_inc("generator.spike_sessions.FAIL_LOG", m)
-        _trace_block("fail_log", day, m, spike=True)
+        _metric_inc("generator.sessions.FAIL_LOG", d.n)
+        _inc_nonzero("generator.spike_sessions.FAIL_LOG", int(burst.sum()))
+        _inc_nonzero("generator.days.FAIL_LOG", d.tags.count(0))
 
     def _no_cmd_setup(self, rng: RngStream) -> Tuple[_RuPrefixClients, np.ndarray]:
         ru_count = max(8, int(48 * self.config.ip_scale * 10))
@@ -434,86 +476,91 @@ class TraceGenerator:
         return ru, ru_pots
 
     def _emit_no_cmd(self) -> None:
-        budget = self.config.sessions_for("NO_CMD")
-        budgets = _daily_budgets(budget, self.envelopes["NO_CMD"])
+        budgets = _daily_budgets(self.config.sessions_for("NO_CMD"),
+                                 self.envelopes["NO_CMD"])
         # Explicit sequential handoff, as in _emit_fail_log above.
         rng = self.rng.child("no_cmd")  # repro: lint-ok[rng-lineage]
         ru, ru_pots = self._no_cmd_setup(rng)
+        self._no_cmd_days(day_streams(rng, budgets, range(self.config.n_days)),
+                          ru, ru_pots)
 
-        for day in range(self.config.n_days):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            self._no_cmd_day(rng, day, n, ru, ru_pots)
-
-    def _no_cmd_day(
+    def _no_cmd_days(
         self,
-        rng: RngStream,
-        day: int,
-        n: int,
+        days: Iterable[DayStream],
         ru: _RuPrefixClients,
         ru_pots: np.ndarray,
     ) -> None:
+        """NO_CMD days; the Russian-prefix share of a day precedes its
+        regular rows."""
+        share = SSH_SHARE["NO_CMD"]
+        emitter = self.emitter
+        d = DayDraws()
+        n_days = 0
+        for day, n, rng in days:
+            n_ru = int(round(n * ru_edge_weight(day)))
+            n_regular = n - n_ru
+            if n_ru > 0:
+                counts = rng.multinomial(n_ru, ru.rates)
+                nz = np.nonzero(counts)[0]
+                d.unit(day, n_ru, _BURST)
+                d.put("ru_ip", np.repeat(ru.ips[nz], counts[nz]))
+                d.put("fields", no_cmd_draws(rng, n_ru))
+                u = rng.random_array(n_ru)
+                d.put("proto", u)
+                d.put("burst_pot", rng.choice_indices(len(ru_pots), size=n_ru))
+                d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n_ru))
+                d.put("pw", rng.random_array(n_ru))
+                emitter.draw_versions(rng, d, u < share)
+                _trace_block("no_cmd", day, n_ru, ru=True)
+            if n_regular > 0:
+                clients = self._active_clients("NO_CMD", day, rng)
+                if len(clients) == 0:
+                    continue
+                d.unit(day, n_regular)
+                d.put("idx", self._expand_day(rng, clients, n_regular))
+                d.put("fields", no_cmd_draws(rng, n_regular))
+                u = rng.random_array(n_regular)
+                d.put("proto", u)
+                d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n_regular))
+                d.put("pot", rng.random_array(n_regular))
+                d.put("pw", rng.random_array(n_regular))
+                emitter.draw_versions(rng, d, u < share)
+                _trace_block("no_cmd", day, n_regular)
+            n_days += 1
+        if not d.n:
+            return
         pop = self.population
-        n_ru = int(round(n * ru_edge_weight(day)))
-        n_regular = n - n_ru
-
-        if n_ru > 0:
-            counts = rng.multinomial(n_ru, ru.rates)
-            nz = np.nonzero(counts)[0]
-            ips = np.repeat(ru.ips[nz], counts[nz])
-            m = len(ips)
-            duration, close, attempts = no_cmd_fields(rng, m)
-            protocol = protocol_array(rng, m, SSH_SHARE["NO_CMD"])
-            pot_pick = rng.choice_indices(len(ru_pots), size=m)
-            self.emitter.append_block(
-                start_time=self._start_times(rng, day, m),
-                duration=duration,
-                honeypot=ru_pots[np.asarray(pot_pick)],
-                protocol=protocol,
-                client_ip=ips,
-                client_asn=np.full(m, ru.asn, dtype=np.int32),
-                client_country=np.full(m, ru.country_index, dtype=np.int32),
-                n_attempts=attempts,
-                login_success=np.ones(m, dtype=bool),
-                script_id=np.full(m, -1, dtype=np.int32),
-                password_id=self.emitter.success_passwords(rng, m),
-                username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-                hash_ids=None,
-                close_reason=close,
-                version_id=self.emitter.client_versions(rng, m, protocol),
-            )
-            _metric_inc("generator.sessions.NO_CMD", m)
-            _trace_block("no_cmd", day, m, ru=True)
-
-        if n_regular > 0:
-            clients = self._active_clients("NO_CMD", day, rng)
-            if len(clients) == 0:
-                return
-            idx = self._expand_day(rng, clients, n_regular)
-            m = len(idx)
-            duration, close, attempts = no_cmd_fields(rng, m)
-            protocol = protocol_array(rng, m, SSH_SHARE["NO_CMD"])
-            self.emitter.append_block(
-                start_time=self._start_times(rng, day, m),
-                duration=duration,
-                honeypot=self._pots_for(rng, idx),
-                protocol=protocol,
-                client_ip=pop.ip[idx],
-                client_asn=pop.asn[idx],
-                client_country=pop.country[idx].astype(np.int32),
-                n_attempts=attempts,
-                login_success=np.ones(m, dtype=bool),
-                script_id=np.full(m, -1, dtype=np.int32),
-                password_id=self.emitter.success_passwords(rng, m),
-                username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-                hash_ids=None,
-                close_reason=close,
-                version_id=self.emitter.client_versions(rng, m, protocol),
-            )
-            _metric_inc("generator.sessions.NO_CMD", m)
-            _trace_block("no_cmd", day, m)
-        _metric_inc("generator.days.NO_CMD")
+        idx = d.cat("idx", np.int64)
+        ru_rows = d.rows(d.tags) == _BURST
+        regular = ~ru_rows
+        duration, close, attempts = no_cmd_derive(*d.cat("fields"))
+        ip = np.empty(d.n, dtype=pop.ip.dtype)
+        ip[ru_rows] = d.cat("ru_ip")
+        ip[regular] = pop.ip[idx]
+        asn = np.full(d.n, ru.asn, dtype=np.int32)
+        asn[regular] = pop.asn[idx]
+        country = np.full(d.n, ru.country_index, dtype=np.int32)
+        country[regular] = pop.country[idx]
+        pots = np.empty(d.n, dtype=np.int32)
+        pots[ru_rows] = ru_pots[d.cat("burst_pot", np.int64)]
+        pots[regular] = self.packed_targets.choose(idx, d.cat("pot"))
+        emitter.append_draws(
+            d, protocol_from(d.cat("proto"), share),
+            duration=duration,
+            honeypot=pots,
+            client_ip=ip,
+            client_asn=asn,
+            client_country=country,
+            n_attempts=attempts,
+            login_success=np.ones(d.n, dtype=bool),
+            script_id=np.full(d.n, -1, dtype=np.int32),
+            password_id=emitter.success_from(d.cat("pw")),
+            username_id=np.full(d.n, emitter.root_id, dtype=np.int32),
+            hash_ids=None,
+            close_reason=close,
+        )
+        _metric_inc("generator.sessions.NO_CMD", d.n)
+        _inc_nonzero("generator.days.NO_CMD", n_days)
 
     def _realize_campaigns(self) -> None:
         """Realise and rescale all campaigns without emitting any sessions."""
@@ -552,7 +599,9 @@ class TraceGenerator:
         honeypot — these are the >60% of all hashes the paper finds at
         exactly one honeypot.
         """
-        rng = self.rng.child("singletons")
+        # Explicit sequential handoff, as in _emit_fail_log above: the
+        # field and password samplers draw on this stream inside one task.
+        rng = self.rng.child("singletons")  # repro: lint-ok[rng-lineage]
         pop = self.population
         cmd_clients = pop.with_role(ClientRole.CMD)
         n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
@@ -707,53 +756,62 @@ class TraceGenerator:
             return
         rng = self.rng.child("bg_cmd")
         pack = self._bg_cmd_profiles()
-
         budgets = _daily_budgets(budget, self.envelopes["CMD"])
-        for day in range(self.config.n_days):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            self._bg_cmd_day(rng, day, n, pack)
+        self._bg_cmd_days(day_streams(rng, budgets, range(self.config.n_days)), pack)
 
-    def _bg_cmd_day(
+    def _bg_cmd_days(
         self,
-        rng: RngStream,
-        day: int,
-        n: int,
+        days: Iterable[DayStream],
         pack: Tuple[int, np.ndarray, np.ndarray],
     ) -> None:
         n_profiles, script_ids, exec_secs = pack
-        pop = self.population
-        clients = self._active_clients("CMD", day, rng)
-        if len(clients) == 0:
+        share = SSH_SHARE["CMD"]
+        d = DayDraws()
+        for day, n, rng in days:
+            clients = self._active_clients("CMD", day, rng)
+            if len(clients) == 0:
+                continue
+            d.unit(day, n)
+            d.put("idx", self._expand_day(rng, clients, n))
+            d.put("fields", cmd_draws(rng, n))
+            u = rng.random_array(n)
+            d.put("proto", u)
+            d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n))
+            d.put("pot", rng.random_array(n))
+            d.put("pw", rng.random_array(n))
+            self.emitter.draw_versions(rng, d, u < share)
+            _trace_block("bg_cmd", day, n)
+        if not d.n:
             return
-        idx = self._expand_day(rng, clients, n)
-        m = len(idx)
+        idx = d.cat("idx")
         # Clients keep using the same tooling: script choice is stable
         # in the client index.
         prof_idx = idx % n_profiles
-        duration, close, attempts = cmd_fields(rng, m, exec_secs[prof_idx])
-        protocol = protocol_array(rng, m, SSH_SHARE["CMD"])
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
+        duration, close, attempts = cmd_derive(exec_secs[prof_idx], *d.cat("fields"))
+        self._append_intrusions(
+            d, share, idx, self.packed_targets.choose(idx, d.cat("pot")),
             duration=duration,
-            honeypot=self._pots_for(rng, idx),
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
             n_attempts=attempts,
-            login_success=np.ones(m, dtype=bool),
             script_id=script_ids[prof_idx],
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
             hash_ids=None,
             close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
         )
-        _metric_inc("generator.sessions.CMD", m)
-        _metric_inc("generator.days.CMD")
-        _trace_block("bg_cmd", day, m)
+        _metric_inc("generator.sessions.CMD", d.n)
+        _metric_inc("generator.days.CMD", len(d.sizes))
+
+    def _append_intrusions(self, d: DayDraws, share: float, idx: np.ndarray,
+                           pots: np.ndarray, **columns) -> None:
+        """Append logged-in root sessions (bg_cmd / bg_uri rows)."""
+        emitter = self.emitter
+        emitter.append_draws(
+            d, protocol_from(d.cat("proto"), share),
+            honeypot=pots,
+            **client_columns(self.population, idx),
+            login_success=np.ones(d.n, dtype=bool),
+            password_id=emitter.success_from(d.cat("pw")),
+            username_id=np.full(d.n, emitter.root_id, dtype=np.int32),
+            **columns,
+        )
 
     def _bg_uri_profiles(self) -> Tuple[int, np.ndarray, List[Tuple[int, ...]], np.ndarray]:
         """Intern the uncatalogued dropper script set into ``self.builder``."""
@@ -782,10 +840,7 @@ class TraceGenerator:
         # Concentrate the URI budget on days where URI-capable clients are
         # naturally active: the paper's CMD+URI activity is bursty and its
         # client IPs are short-lived (Figs 11/13).
-        bucket_sizes = np.array(
-            [len(self._day_buckets["CMD_URI"][d]) for d in range(self.config.n_days)],
-            dtype=float,
-        )
+        bucket_sizes = np.diff(self._day_buckets["CMD_URI"][1]).astype(float)
         envelope = self.envelopes["CMD_URI"] * np.where(bucket_sizes > 0, 1.0, 0.02)
         envelope = envelope / envelope.sum()
         return _daily_budgets(budget, envelope)
@@ -797,121 +852,70 @@ class TraceGenerator:
             return
         rng = self.rng.child("bg_uri")
         pack = self._bg_uri_profiles()
-
         budgets = self._bg_uri_budgets(budget)
-        for day in range(self.config.n_days):
-            n = int(budgets[day])
-            if n <= 0:
-                continue
-            self._bg_uri_day(rng, day, n, pack)
+        self._bg_uri_days(day_streams(rng, budgets, range(self.config.n_days)), pack)
 
-    def _bg_uri_day(
+    def _bg_uri_days(
         self,
-        rng: RngStream,
-        day: int,
-        n: int,
+        days: Iterable[DayStream],
         pack: Tuple[int, np.ndarray, List[Tuple[int, ...]], np.ndarray],
     ) -> None:
+        """Uncatalogued droppers, with the CMD+URI locality bias (Fig 16b)."""
         n_profiles, script_ids, hash_tuples, exec_secs = pack
-        pop = self.population
-        clients = self._active_clients("CMD_URI", day, rng)
-        if len(clients) == 0:
-            return
-        idx = self._expand_day(rng, clients, n)
-        m = len(idx)
-        prof_idx = idx % n_profiles
-        duration, close, attempts = cmd_fields(rng, m, exec_secs[prof_idx])
-        protocol = protocol_array(rng, m, SSH_SHARE["CMD_URI"])
-        pots = self._local_biased_pots(rng, idx)
-        self.emitter.append_block(
-            start_time=self._start_times(rng, day, m),
-            duration=duration,
-            honeypot=pots,
-            protocol=protocol,
-            client_ip=pop.ip[idx],
-            client_asn=pop.asn[idx],
-            client_country=pop.country[idx].astype(np.int32),
-            n_attempts=attempts,
-            login_success=np.ones(m, dtype=bool),
-            script_id=script_ids[prof_idx],
-            password_id=self.emitter.success_passwords(rng, m),
-            username_id=np.full(m, self.emitter.root_id, dtype=np.int32),
-            hash_ids=[hash_tuples[int(i)] for i in prof_idx],
-            close_reason=close,
-            version_id=self.emitter.client_versions(rng, m, protocol),
-        )
-        _metric_inc("generator.sessions.CMD_URI", m)
-        _metric_inc("generator.days.CMD_URI")
-        _trace_block("bg_uri", day, m)
-
-    def _locality_tables(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray,
-                                        np.ndarray, np.ndarray]:
-        """CSR pot pools per population country index.
-
-        ``(flat, c_off, c_len, k_off, k_len)``: country ``i``'s same-country
-        pots are ``flat[c_off[i]:c_off[i]+c_len[i]]``, its same-continent
-        pots ``flat[k_off[i]:k_off[i]+k_len[i]]``.  Pure function of the
-        deployment and population — consumes no RNG.
-        """
-        cache = self._locality_cache
-        if cache is None:
-            from repro.geo.continents import continent_of
-
-            codes = self.population.country_codes
-            n = len(codes)
-            flat_parts: List[np.ndarray] = []
-            c_off = np.zeros(n, np.int64)
-            c_len = np.zeros(n, np.int64)
-            k_off = np.zeros(n, np.int64)
-            k_len = np.zeros(n, np.int64)
-            pos = 0
-            for i, cc in enumerate(codes):
-                pool = self.target_index.pots_in_country(cc)
-                c_off[i] = pos
-                c_len[i] = len(pool)
-                if len(pool):
-                    flat_parts.append(pool)
-                    pos += len(pool)
-            for i, cc in enumerate(codes):
-                pool = self.target_index.pots_on_continent(continent_of(cc))
-                k_off[i] = pos
-                k_len[i] = len(pool)
-                if len(pool):
-                    flat_parts.append(pool)
-                    pos += len(pool)
-            flat = (np.concatenate(flat_parts) if flat_parts
-                    else np.zeros(0, np.int32))
-            cache = self._locality_cache = (flat, c_off, c_len, k_off, k_len)
-        return cache
-
-    def _local_biased_pots(self, rng: RngStream, idx: np.ndarray) -> np.ndarray:
-        """Target choice with the CMD+URI locality bias (Fig 16b).
-
-        URI attackers pick closer targets: a share of their sessions is
-        redirected to a honeypot in the client's own country when the farm
-        has one, else to one on its continent.  One batched varying-bound
-        ``randint_array`` covers every redirected session; the draws are
-        bit-identical to the scalar per-session loop it replaced
-        (``RngStream.randint_array``).
-        """
-        pots = self._pots_for(rng, idx)
+        share = SSH_SHARE["CMD_URI"]
         bias = self.config.uri_locality_bias
-        if bias <= 0:
-            return pots
-        u = rng.random_array(len(idx))
-        hit = np.flatnonzero(u < bias)
-        if hit.size == 0:
-            return pots
-        flat, c_off, c_len, k_off, k_len = self._locality_tables()
-        ci = self.population.country[idx[hit]].astype(np.int64)
-        use_country = (u[hit] < 0.4 * bias) & (c_len[ci] > 0)
-        bounds = np.where(use_country, c_len[ci], k_len[ci])
-        offs = np.where(use_country, c_off[ci], k_off[ci])
-        drawable = bounds > 0
-        if drawable.any():
-            picks = rng.randint_array(0, bounds[drawable])
-            pots[hit[drawable]] = flat[offs[drawable] + picks]
-        return pots
+        d = DayDraws()
+        for day, n, rng in days:
+            clients = self._active_clients("CMD_URI", day, rng)
+            if len(clients) == 0:
+                continue
+            idx = self._expand_day(rng, clients, n)
+            first = d.unit(day, n)
+            d.put("idx", idx)
+            d.put("fields", cmd_draws(rng, n))
+            u = rng.random_array(n)
+            d.put("proto", u)
+            d.put("pot", rng.random_array(n))
+            if bias > 0:
+                moved = locality_redirects(
+                    rng, rng.random_array(n), bias, idx,
+                    self.population.country, self._locality_tables(),
+                )
+                if moved is not None:
+                    d.put("moved_rows", first + moved[0])
+                    d.put("moved_pots", moved[1])
+            d.put("start", rng.uniform_array(0, SECONDS_PER_DAY, n))
+            d.put("pw", rng.random_array(n))
+            self.emitter.draw_versions(rng, d, u < share)
+            _trace_block("bg_uri", day, n)
+        if not d.n:
+            return
+        idx = d.cat("idx")
+        prof_idx = idx % n_profiles
+        duration, close, attempts = cmd_derive(exec_secs[prof_idx], *d.cat("fields"))
+        pots = self.packed_targets.choose(idx, d.cat("pot"))
+        pots[d.cat("moved_rows", np.int64)] = d.cat("moved_pots", np.int32)
+        self._append_intrusions(
+            d, share, idx, pots,
+            duration=duration,
+            n_attempts=attempts,
+            script_id=script_ids[prof_idx],
+            hash_ids=gather_hash_rows(hash_tuples, prof_idx),
+            close_reason=close,
+        )
+        _metric_inc("generator.sessions.CMD_URI", d.n)
+        _metric_inc("generator.days.CMD_URI", len(d.sizes))
+
+    def _locality_tables(self) -> LocalityPools:
+        """Farm-wide locality pools per population country index (cached;
+        a pure function of the deployment and population, no RNG)."""
+        if self._locality_cache is None:
+            index = self.target_index
+            self._locality_cache = locality_pools(
+                self.population.country_codes,
+                index.pots_in_country, index.pots_on_continent,
+            )
+        return self._locality_cache
 
     # -- orchestration ---------------------------------------------------------------
 

@@ -39,39 +39,104 @@ NO_CMD_ATTEMPTS = TransitionTable([0.72, 0.19, 0.09])
 CMD_ATTEMPTS = TransitionTable([0.70, 0.20, 0.10])
 
 
-def no_cred_fields(rng: RngStream, n: int) -> Tuple[np.ndarray, np.ndarray]:
-    """(durations, close_reason_ids) for NO_CRED sessions."""
-    u = rng.random_array(n)
-    quick = 0.5 + 2.5 * rng.random_array(n)  # banner-grab and leave
-    linger = np.clip(rng.exponential_array(9.0, n), 0.5, NO_LOGIN_TIMEOUT - 5.0)
+# Each category's fields come in two halves: ``*_draws`` takes every draw
+# (in the order the fields consume them) and ``*_derive`` turns the raw
+# draws into fields with elementwise numpy only.  Because the derive half
+# is elementwise, it can run once over a whole shard's concatenated draws
+# (the day kernels) and give the same values it gives per day;
+# ``*_fields`` composes the two for a single batch.
+
+
+def no_cred_draws(rng: RngStream, n: int) -> Tuple[np.ndarray, ...]:
+    return rng.random_array(n), rng.random_array(n), rng.exponential_array(9.0, n)
+
+
+def no_cred_derive(
+    u: np.ndarray, quick_u: np.ndarray, linger_e: np.ndarray
+) -> Tuple[np.ndarray, np.ndarray]:
+    quick = 0.5 + 2.5 * quick_u  # banner-grab and leave
+    linger = np.clip(linger_e, 0.5, NO_LOGIN_TIMEOUT - 5.0)
     duration = np.where(u < 0.30, quick, np.where(u < 0.88, linger, NO_LOGIN_TIMEOUT))
     close = np.where(u < 0.88, CLOSE_CLIENT, CLOSE_AUTH_TIMEOUT).astype(np.uint8)
     return duration, close
+
+
+def no_cred_fields(rng: RngStream, n: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(durations, close_reason_ids) for NO_CRED sessions."""
+    return no_cred_derive(*no_cred_draws(rng, n))
+
+
+def fail_log_draws(rng: RngStream, n: int) -> Tuple[np.ndarray, ...]:
+    return (rng.random_array(n), rng.uniform_array(1.5, 6.0, n),
+            rng.uniform_array(0.4, 2.5, n), rng.random_array(n))
+
+
+def fail_log_derive(
+    is_ssh: np.ndarray,
+    attempts_u: np.ndarray,
+    per_try: np.ndarray,
+    extra: np.ndarray,
+    closed_u: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    attempts = FAIL_LOG_ATTEMPTS.index(attempts_u).astype(np.uint16) + 1
+    duration = attempts * per_try + extra
+    server_closed = (attempts == 3) & is_ssh & (closed_u < 0.35)
+    close = np.where(server_closed, CLOSE_TOO_MANY, CLOSE_CLIENT).astype(np.uint8)
+    return duration, close, attempts
 
 
 def fail_log_fields(
     rng: RngStream, n: int, is_ssh: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(durations, close_reason_ids, n_attempts) for FAIL_LOG sessions."""
-    attempts = FAIL_LOG_ATTEMPTS.sample(rng, n).astype(np.uint16) + 1
-    per_try = rng.uniform_array(1.5, 6.0, n)
-    duration = attempts * per_try + rng.uniform_array(0.4, 2.5, n)
-    server_closed = (attempts == 3) & is_ssh & (rng.random_array(n) < 0.35)
-    close = np.where(server_closed, CLOSE_TOO_MANY, CLOSE_CLIENT).astype(np.uint8)
+    return fail_log_derive(is_ssh, *fail_log_draws(rng, n))
+
+
+def no_cmd_draws(rng: RngStream, n: int) -> Tuple[np.ndarray, ...]:
+    return (rng.random_array(n), rng.uniform_array(2.0, 10.0, n),
+            rng.random_array(n), rng.uniform_array(3.0, 55.0, n))
+
+
+def no_cmd_derive(
+    attempts_u: np.ndarray,
+    login_delay: np.ndarray,
+    timeout_u: np.ndarray,
+    linger: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    attempts = NO_CMD_ATTEMPTS.index(attempts_u).astype(np.uint16) + 1
+    timed_out = timeout_u < 0.92
+    duration = np.where(
+        timed_out, login_delay + IDLE_TIMEOUT, login_delay + linger
+    )
+    close = np.where(timed_out, CLOSE_IDLE_TIMEOUT, CLOSE_CLIENT).astype(np.uint8)
     return duration, close, attempts
 
 
 def no_cmd_fields(rng: RngStream, n: int) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(durations, close_reason_ids, n_attempts) for NO_CMD sessions."""
-    attempts = NO_CMD_ATTEMPTS.sample(rng, n).astype(np.uint16) + 1
-    login_delay = rng.uniform_array(2.0, 10.0, n)
-    timed_out = rng.random_array(n) < 0.92
-    duration = np.where(
-        timed_out,
-        login_delay + IDLE_TIMEOUT,
-        login_delay + rng.uniform_array(3.0, 55.0, n),
-    )
-    close = np.where(timed_out, CLOSE_IDLE_TIMEOUT, CLOSE_CLIENT).astype(np.uint8)
+    return no_cmd_derive(*no_cmd_draws(rng, n))
+
+
+def cmd_draws(rng: RngStream, n: int) -> Tuple[np.ndarray, ...]:
+    return (rng.random_array(n), rng.lognormal_array(0.0, 0.35, n),
+            rng.uniform_array(2.0, 12.0, n), rng.random_array(n))
+
+
+def cmd_derive(
+    exec_seconds: np.ndarray,
+    attempts_u: np.ndarray,
+    jitter: np.ndarray,
+    think: np.ndarray,
+    u: np.ndarray,
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    attempts = CMD_ATTEMPTS.index(attempts_u).astype(np.uint16) + 1
+    base = think + exec_seconds * jitter
+    # 62% client disconnect right after the script; 30% idle out afterwards;
+    # 8% explicit exit.
+    duration = np.where(u < 0.62, base, np.where(u < 0.92, base + IDLE_TIMEOUT, base))
+    close = np.where(
+        u < 0.62, CLOSE_CLIENT, np.where(u < 0.92, CLOSE_IDLE_TIMEOUT, CLOSE_EXIT)
+    ).astype(np.uint8)
     return duration, close, attempts
 
 
@@ -83,19 +148,14 @@ def cmd_fields(
     ``exec_seconds`` is each session's script execution time (think time
     plus any download transfer time from the profiled script run).
     """
-    attempts = CMD_ATTEMPTS.sample(rng, n).astype(np.uint16) + 1
-    jitter = rng.lognormal_array(0.0, 0.35, n)
-    base = rng.uniform_array(2.0, 12.0, n) + exec_seconds * jitter
-    u = rng.random_array(n)
-    # 62% client disconnect right after the script; 30% idle out afterwards;
-    # 8% explicit exit.
-    duration = np.where(u < 0.62, base, np.where(u < 0.92, base + IDLE_TIMEOUT, base))
-    close = np.where(
-        u < 0.62, CLOSE_CLIENT, np.where(u < 0.92, CLOSE_IDLE_TIMEOUT, CLOSE_EXIT)
-    ).astype(np.uint8)
-    return duration, close, attempts
+    return cmd_derive(exec_seconds, *cmd_draws(rng, n))
+
+
+def protocol_from(u: np.ndarray, ssh_share) -> np.ndarray:
+    """0 = SSH, 1 = Telnet, from uniform draws and the SSH share."""
+    return (u >= ssh_share).astype(np.uint8)
 
 
 def protocol_array(rng: RngStream, n: int, ssh_share: float) -> np.ndarray:
     """0 = SSH, 1 = Telnet, with the category's SSH share."""
-    return (rng.random_array(n) >= ssh_share).astype(np.uint8)
+    return protocol_from(rng.random_array(n), ssh_share)

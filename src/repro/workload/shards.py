@@ -26,7 +26,7 @@ from repro.store.store import SessionStore
 from repro.workload.blocks import make_emitter
 from repro.workload.config import ScenarioConfig
 from repro.workload.dataset import HoneyfarmDataset
-from repro.workload.generator import TraceGenerator, _daily_budgets
+from repro.workload.generator import TraceGenerator, _daily_budgets, day_streams
 
 #: Days per background/campaign shard. Fixed — never derived from the
 #: worker count — so the shard list is a pure function of the config.
@@ -250,47 +250,37 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
     gen.emitter = emitter
     gen.engine.emitter = emitter
     try:
-        if shard.kind == "campaign":
+        kind = shard.kind
+        engine = gen.engine
+        if kind == "campaign":
             campaign = plan.campaigns_by_id[shard.key]
-            days = sorted(campaign.schedule)
-            for day in days[shard.start:shard.stop]:
-                gen.engine.emit_campaign_day(
-                    campaign, day, campaign.schedule[day]
-                )
-        elif shard.kind == "campaign_group":
-            for r in plan.gen.realized[shard.start:shard.stop]:
-                for day in sorted(r.schedule):
-                    gen.engine.emit_campaign_day(r, day, r.schedule[day])
-        elif shard.kind == "singletons":
+            days = sorted(campaign.schedule)[shard.start:shard.stop]
+            engine.emit_days(engine.day_streams(campaign, days))
+        elif kind == "campaign_group":
+            engine.emit_days(
+                unit
+                for r in gen.realized[shard.start:shard.stop]
+                for unit in engine.day_streams(r, sorted(r.schedule))
+            )
+        elif kind == "singletons":
             for w in plan.writers[shard.start:shard.stop]:
                 gen._singleton_writer_emit(int(w))
         else:
-            budgets = plan.budgets[shard.kind]
-            base = gen.rng.child(shard.kind)
-            pack = None
-            for day in range(shard.start, shard.stop):
-                n = int(budgets[day])
-                if n <= 0:
-                    continue
-                rng = base.child(f"d{day}")
-                if shard.kind == "no_cred":
-                    gen._no_cred_day(rng, day, n)
-                elif shard.kind == "fail_log":
-                    gen._fail_log_day(
-                        rng, day, n, plan.fail_log_baseline, plan.fail_log_spike
-                    )
-                elif shard.kind == "no_cmd":
-                    gen._no_cmd_day(rng, day, n, plan.ru, plan.ru_pots)
-                elif shard.kind == "bg_cmd":
-                    if pack is None:
-                        pack = gen._bg_cmd_profiles()
-                    gen._bg_cmd_day(rng, day, n, pack)
-                elif shard.kind == "bg_uri":
-                    if pack is None:
-                        pack = gen._bg_uri_profiles()
-                    gen._bg_uri_day(rng, day, n, pack)
-                else:
-                    raise ValueError(f"unknown shard kind: {shard.kind}")
+            if kind not in _BACKGROUND:
+                raise ValueError(f"unknown shard kind: {kind}")
+            days = day_streams(gen.rng.child(kind), plan.budgets[kind],
+                               range(shard.start, shard.stop), per_day=True)
+            if kind == "no_cred":
+                gen._no_cred_days(days)
+            elif kind == "fail_log":
+                gen._fail_log_days(days, plan.fail_log_baseline,
+                                   plan.fail_log_spike)
+            elif kind == "no_cmd":
+                gen._no_cmd_days(days, plan.ru, plan.ru_pots)
+            elif kind == "bg_cmd":
+                gen._bg_cmd_days(days, gen._bg_cmd_profiles())
+            else:
+                gen._bg_uri_days(days, gen._bg_uri_profiles())
     finally:
         gen.builder, gen.emitter, gen.engine.emitter = saved
     emitter.flush()

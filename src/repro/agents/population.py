@@ -171,12 +171,13 @@ class ClientPopulation:
         if countries is None:
             picked = rng.choice_indices(len(candidates), size=count, replace=False)
             return candidates[np.asarray(picked)]
-        weight_by_code = {cc: w for cc, w in countries}
-        weights = np.full(len(candidates), 0.05, dtype=float)
-        for pos, idx in enumerate(candidates):
-            code = self.country_codes[int(self.country[idx])]
-            if code in weight_by_code:
-                weights[pos] = weight_by_code[code] + 0.05
+        # One weight per country code, gathered per candidate.
+        code_index = {cc: i for i, cc in enumerate(self.country_codes)}
+        by_country = np.full(len(self.country_codes), 0.05, dtype=float)
+        for cc, w in countries:
+            if cc in code_index:
+                by_country[code_index[cc]] = w + 0.05
+        weights = by_country[self.country[candidates]]
         weights /= weights.sum()
         picked = rng.choice_indices(len(candidates), size=count, p=weights, replace=False)
         return candidates[np.asarray(picked)]

@@ -581,8 +581,10 @@ class RngLineageRule(ProjectRule):
     """The named-stream derivation tree must stay collision-free.
 
     Statically resolves every stream name reaching ``RngStream`` /
-    ``derive_stream_seed`` / ``.child`` — literals, f-string heads, and
-    chains through locals and ``self.<attr>`` bindings — then flags:
+    ``derive_stream_seed`` / ``.child`` / ``.children`` (the bulk
+    constructor: each element of its list, tuple or comprehension is one
+    name) — literals, f-string heads, and chains through locals and
+    ``self.<attr>`` bindings — then flags:
 
     * **collisions** — the same exact name constructed in two unrelated
       scopes (two modules, or two top-level scopes of one module).  Two
@@ -605,6 +607,7 @@ class RngLineageRule(ProjectRule):
             "module")
 
     _CTOR_NAMES = ("RngStream", "derive_stream_seed")
+    _DERIVE_NAMES = ("child", "children")
 
     #: The stream implementation itself derives names dynamically.
     ALLOWED = ("simulation/rng.py",)
@@ -749,13 +752,8 @@ class RngLineageRule(ProjectRule):
                     return resolved[0]
             return None
 
-        def record(call: ast.Call, var: Optional[str]) -> Optional[str]:
-            resolved = self._resolve_ctor(call, resolve_stream, module)
-            if resolved is None:
-                if final and self._is_headless(call, resolve_stream):
-                    headless.append((fn.path, call))
-                return None
-            name, exact = resolved
+        def add_site(call: ast.Call, name: str, exact: bool,
+                     var: Optional[str]) -> None:
             if final:
                 scope = (fn.module, fn.class_name or fn.qualname)
                 sites.append(_StreamSite(
@@ -764,7 +762,33 @@ class RngLineageRule(ProjectRule):
                     line=call.lineno, col=call.col_offset, fid=fn.fid,
                     var=var,
                 ))
-            return name
+
+        def record(call: ast.Call, var: Optional[str]) -> Optional[str]:
+            bulk = self._bulk_names(call)
+            if bulk is not None:
+                # A stream iterator, not a stream: its names are sites,
+                # but the bound local resolves to no single stream.
+                receiver, elements = bulk
+                parent = resolve_stream(receiver)
+                for element in elements:
+                    resolved = None
+                    if parent and not parent.endswith("*"):
+                        resolved = self._resolve_name_expr(element,
+                                                           resolve_stream)
+                    if resolved is not None:
+                        add_site(call, f"{parent}.{resolved[0]}",
+                                 resolved[1], var)
+                    elif final and parent \
+                            and self._headless_expr(element, resolve_stream):
+                        headless.append((fn.path, call))
+                return None
+            resolved = self._resolve_ctor(call, resolve_stream, module)
+            if resolved is None:
+                if final and self._is_headless(call, resolve_stream):
+                    headless.append((fn.path, call))
+                return None
+            add_site(call, resolved[0], resolved[1], var)
+            return resolved[0]
 
         for node in ast.walk(fn.node):
             if isinstance(node, ast.Assign) and len(node.targets) == 1:
@@ -775,6 +799,15 @@ class RngLineageRule(ProjectRule):
                     calls = [v for v in value.values
                              if isinstance(v, ast.Call)]
                     value = calls[0] if len(calls) == 1 else value
+                if isinstance(value, ast.Name) \
+                        and isinstance(target, ast.Attribute) \
+                        and isinstance(target.value, ast.Name) \
+                        and target.value.id == "self" and fn.class_name \
+                        and env.get(value.id):
+                    # ``self.rng = rng``: a stream handed to the constructor.
+                    class_attrs[(fn.module, fn.class_name,
+                                 target.attr)] = env[value.id]
+                    continue
                 if not isinstance(value, ast.Call):
                     continue
                 if isinstance(target, ast.Name):
@@ -798,7 +831,7 @@ class RngLineageRule(ProjectRule):
                 continue
             func = call.func
             if isinstance(func, ast.Attribute) and func.attr not in (
-                    "child",) + self._CTOR_NAMES:
+                    self._DERIVE_NAMES + self._CTOR_NAMES):
                 receiver = resolve_stream(func.value)
                 if receiver is not None:
                     draws.setdefault(receiver, {}).setdefault(
@@ -888,6 +921,24 @@ class RngLineageRule(ProjectRule):
                     return f"{parent}{tail}*", False
         return None
 
+    @staticmethod
+    def _bulk_names(
+        call: ast.Call,
+    ) -> Optional[Tuple[ast.expr, List[ast.expr]]]:
+        """``(receiver, name expressions)`` of a ``<stream>.children(...)``
+        call: the elements of a literal list / tuple, or a comprehension's
+        element (one f-string family).  None for any other call."""
+        func = call.func
+        if not (isinstance(func, ast.Attribute) and func.attr == "children"
+                and len(call.args) == 1):
+            return None
+        arg = call.args[0]
+        if isinstance(arg, (ast.List, ast.Tuple)):
+            return func.value, list(arg.elts)
+        if isinstance(arg, (ast.ListComp, ast.GeneratorExp)):
+            return func.value, [arg.elt]
+        return func.value, []
+
     def _is_headless(self, call: ast.Call, resolve_stream) -> bool:
         """True for a stream ctor whose f-string name has no usable head."""
         func = call.func
@@ -902,9 +953,13 @@ class RngLineageRule(ProjectRule):
             for kw in call.keywords:
                 if kw.arg == "name":
                     name_arg = kw.value
-        if not isinstance(name_arg, ast.JoinedStr):
+        return self._headless_expr(name_arg, resolve_stream)
+
+    def _headless_expr(self, expr: Optional[ast.expr], resolve_stream) -> bool:
+        """True for an f-string name with no usable head."""
+        if not isinstance(expr, ast.JoinedStr):
             return False
-        return self._resolve_name_expr(name_arg, resolve_stream) is None
+        return self._resolve_name_expr(expr, resolve_stream) is None
 
     @staticmethod
     def _is_assigned_call(call: ast.Call, fn_node: ast.AST) -> bool:

@@ -3,9 +3,9 @@
 Every emitter is a day kernel (see :mod:`repro.workload.generator`): it
 draws day by day into a :class:`~repro.workload.emit.DayDraws`, derives
 the columns once per call, and hands the builder ONE block per kernel
-call.  The block emitter buffers those blocks (and the stray scalar rows
-from singleton writers) in emission order and flushes them as ONE
-``append_block`` per builder -- one concatenate per column, one CSR hash
+call.  The block emitter buffers those blocks in emission order and
+flushes them as ONE ``append_block`` per builder -- one concatenate per
+column, one CSR hash
 adoption -- without touching interning order or any RNG stream, so the
 frozen store is byte-identical to the scalar path, which writes each
 block straight through.
@@ -24,7 +24,7 @@ import numpy as np
 
 from repro.obs import get_metrics, inc as _metric_inc
 from repro.simulation.rng import RngStream, weight_cdf
-from repro.store.store import HashBlockCsr, HashIdsArg, StoreBuilder
+from repro.store.store import HashBlockCsr, StoreBuilder
 from repro.workload.emit import SessionEmitter
 
 _EMIT_PATHS = ("block", "scalar")
@@ -92,52 +92,25 @@ class TransitionTable:
         return self.cdf.searchsorted(u, side="right")
 
 
-def _hash_piece(hash_ids: HashIdsArg, n: int) -> Tuple[np.ndarray, Optional[np.ndarray]]:
-    """``(lengths, values)`` arrays for one buffered block's hash spec.
-
-    Mirrors ``StoreBuilder._append_block_hashes`` exactly; ``values`` is
-    None when no row of the piece carries hashes.
-    """
+def _hash_piece(
+    hash_ids: Optional[HashBlockCsr], n: int
+) -> Tuple[np.ndarray, Optional[np.ndarray]]:
+    """``(lengths, values)`` arrays for one buffered block's hash spec
+    (the day kernels pass None or a CSR block); ``values`` is None when no
+    row of the piece carries hashes."""
     if hash_ids is None:
         return np.zeros(n, np.int64), None
-    if isinstance(hash_ids, HashBlockCsr):
-        if len(hash_ids.lengths) != n:
-            raise ValueError("append_block sequences must share one length")
-        return hash_ids.lengths, (hash_ids.values if len(hash_ids.values) else None)
-    if isinstance(hash_ids, tuple):
-        k = len(hash_ids)
-        if not k:
-            return np.zeros(n, np.int64), None
-        return (
-            np.full(n, k, np.int64),
-            np.tile(np.asarray(hash_ids, np.int64), n),
-        )
-    if len(hash_ids) != n:
+    if not isinstance(hash_ids, HashBlockCsr):
+        raise TypeError("block emission takes hash_ids as None or HashBlockCsr")
+    if len(hash_ids.lengths) != n:
         raise ValueError("append_block sequences must share one length")
-    if not any(hash_ids):
-        return np.zeros(n, np.int64), None
-    lengths = np.fromiter((len(t) for t in hash_ids), np.int64, count=n)
-    values = np.fromiter(
-        (h for t in hash_ids for h in t), np.int64, count=int(lengths.sum())
-    )
-    return lengths, values
-
-
-class _RowRun:
-    """Consecutive ``append_row`` calls buffered as per-column lists."""
-
-    __slots__ = ("cols", "hash_lists", "n")
-
-    def __init__(self) -> None:
-        self.cols: Dict[str, list] = {name: [] for name in _COLUMNS}
-        self.hash_lists: List[Tuple[int, ...]] = []
-        self.n = 0
+    return hash_ids.lengths, (hash_ids.values if len(hash_ids.values) else None)
 
 
 class BlockEmitter(SessionEmitter):
     """Session emitter that defers builder writes until :meth:`flush`.
 
-    Day-blocks and scalar rows are buffered in emission order — each column
+    Day-blocks are buffered in emission order — each column
     keeps its own list of per-piece arrays, so flush is one concatenate per
     column plus one CSR hash block, regardless of how many day-blocks were
     emitted.  Interning and RNG consumption happen at exactly the same
@@ -149,22 +122,10 @@ class BlockEmitter(SessionEmitter):
         # Per-column lists of buffered array pieces, all aligned in
         # emission order; hash specs ride alongside as (spec, n) pairs.
         self._col_parts: Dict[str, List] = {name: [] for name in _COLUMNS}
-        self._hash_specs: List[Tuple[HashIdsArg, int]] = []
-        self._run: Optional[_RowRun] = None
+        self._hash_specs: List[Tuple[Optional[HashBlockCsr], int]] = []
         self._pending_rows = 0
 
     # -- buffering -------------------------------------------------------------
-
-    def _close_run(self) -> None:
-        """Materialise the open scalar-row run into the column part lists."""
-        run = self._run
-        if run is None:
-            return
-        self._run = None
-        cols = self._col_parts
-        for name in _COLUMNS:
-            cols[name].append(run.cols[name])
-        self._hash_specs.append((run.hash_lists, run.n))
 
     def append_block(
         self,
@@ -180,14 +141,13 @@ class BlockEmitter(SessionEmitter):
         script_id: Sequence[int],
         password_id: np.ndarray,
         username_id: np.ndarray,
-        hash_ids: HashIdsArg,
+        hash_ids: Optional[HashBlockCsr],
         close_reason: np.ndarray,
         version_id: np.ndarray,
     ) -> None:
         n = len(start_time)
         if not n:
             return
-        self._close_run()
         cols = self._col_parts
         cols["start_time"].append(start_time)
         cols["duration"].append(duration)
@@ -207,26 +167,10 @@ class BlockEmitter(SessionEmitter):
         self._pending_rows += n
         _metric_inc("emit.block.buffered_blocks")
 
-    def append_row(self, **kwargs) -> None:  # type: ignore[override]
-        run = self._run
-        if run is None:
-            run = self._run = _RowRun()
-        cols = run.cols
-        for name in _COLUMNS:
-            if name in kwargs:
-                cols[name].append(kwargs[name])
-            else:
-                cols[name].append(_ROW_DEFAULTS[name])
-        run.hash_lists.append(tuple(kwargs.get("hash_ids", ())))
-        run.n += 1
-        self._pending_rows += 1
-        _metric_inc("emit.block.buffered_rows")
-
     # -- flush -----------------------------------------------------------------
 
     def flush(self) -> None:
         """Write every buffered piece to the builder as one block."""
-        self._close_run()
         if not self._pending_rows:
             return
         with get_metrics().span("emit.block.flush"):
@@ -278,12 +222,4 @@ _INTERNAL_COLUMN = {
     "honeypot_id": "honeypot",
     "client_country_id": "client_country",
     "close_reason_id": "close_reason",
-}
-
-_ROW_DEFAULTS = {
-    "script_id": -1,
-    "password_id": -1,
-    "username_id": -1,
-    "close_reason_id": 0,
-    "version_id": -1,
 }

@@ -10,14 +10,13 @@ from __future__ import annotations
 
 import zlib
 from dataclasses import dataclass, field
-from typing import Dict, Iterable, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.agents.campaigns import CampaignSpec
 from repro.agents.population import ClientPopulation, ClientRole
 from repro.agents.scripts import ScriptKind, build_script
-from repro.geo.continents import continent_of
 from repro.intel.database import IntelDatabase
 from repro.obs import inc as _metric_inc
 from repro.obs.trace import emit_block as _trace_block
@@ -33,11 +32,11 @@ from repro.workload.emit import (
 from repro.workload.samplers import cmd_derive, cmd_draws, protocol_from
 from repro.workload.script_runner import ScriptProfile, ScriptRunner
 from repro.workload.targets import (
+    LocalityIndex,
     LocalityPools,
     PackedTargets,
     TargetSet,
     build_subset,
-    locality_pools,
     locality_redirects,
     subset_selector,
 )
@@ -102,10 +101,10 @@ class CampaignEngine:
         self.hash_weights = hash_weights
         self.session_weights = session_weights
         self.pot_countries = pot_countries
-        self.pot_continents = [continent_of(cc) for cc in pot_countries]
         self.n_pots = len(pot_countries)
         self._group_subsets: Dict[str, np.ndarray] = {}
         self._shared_pools: Dict[str, np.ndarray] = {}
+        self.locality = LocalityIndex(pot_countries, population.country_codes)
         self._locality_csr: Dict[str, LocalityPools] = {}
 
     # -- realisation ------------------------------------------------------------
@@ -311,14 +310,16 @@ class CampaignEngine:
         )
 
     def day_streams(
-        self, campaign: RealizedCampaign, days: Iterable[int]
+        self, days: Sequence[Tuple[RealizedCampaign, int]]
     ) -> Iterator[CampaignDay]:
-        """Kernel input for the sharded family: each campaign day draws from
-        its own stream ``emit.<campaign>.d<day>``."""
-        prefix = f"emit.{campaign.spec.campaign_id}.d"
-        for day in days:
-            yield (campaign, day, campaign.schedule[day],
-                   self.rng.child(f"{prefix}{day}"))
+        """Kernel input for the sharded family: each ``(campaign, day)``
+        draws from its own stream ``emit.<campaign>.d<day>``, the whole
+        shard's streams seeded in one batch."""
+        streams = self.rng.children(
+            f"emit.{campaign.spec.campaign_id}.d{day}" for campaign, day in days
+        )
+        for (campaign, day), rng in zip(days, streams):
+            yield campaign, day, campaign.schedule[day], rng
 
     def emit_days(self, units: Iterable[CampaignDay]) -> int:
         """Emit campaign days as one block. Returns the session count.
@@ -415,15 +416,6 @@ class CampaignEngine:
         (cached per campaign; a pure function of the fixed subset, no RNG)."""
         cached = self._locality_csr.get(campaign.spec.campaign_id)
         if cached is None:
-            by_country: Dict[str, List[int]] = {}
-            by_continent: Dict[object, List[int]] = {}
-            for pot in campaign.pot_subset.tolist():
-                by_country.setdefault(self.pot_countries[pot], []).append(pot)
-                by_continent.setdefault(self.pot_continents[pot], []).append(pot)
-            cached = locality_pools(
-                self.population.country_codes,
-                lambda code: by_country.get(code, []),
-                lambda continent: by_continent.get(continent, []),
-            )
+            cached = self.locality.pools(campaign.pot_subset)
             self._locality_csr[campaign.spec.campaign_id] = cached
         return cached

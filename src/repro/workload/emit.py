@@ -9,7 +9,7 @@ loop and one per-shard derivation pass.
 from __future__ import annotations
 
 from collections import defaultdict
-from typing import Dict, List, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -20,7 +20,7 @@ from repro.agents.credentials import (
 )
 from repro.honeypot.protocol import COMMON_CLIENT_VERSIONS
 from repro.simulation.rng import RngStream, weight_cdf
-from repro.store.store import HashBlockCsr, HashIdsArg, StoreBuilder
+from repro.store.store import HashBlockCsr, StoreBuilder
 
 SECONDS_PER_DAY = 86_400
 
@@ -230,7 +230,7 @@ class SessionEmitter:
         script_id: Sequence[int],
         password_id: np.ndarray,
         username_id: np.ndarray,
-        hash_ids: HashIdsArg,
+        hash_ids: Optional[HashBlockCsr],
         close_reason: np.ndarray,
         version_id: np.ndarray,
     ) -> None:
@@ -251,48 +251,6 @@ class SessionEmitter:
             username_id=username_id,
             hash_ids=hash_ids,
             close_reason_id=close_reason,
-            version_id=version_id,
-        )
-
-    def append_row(
-        self,
-        start_time: float,
-        duration: float,
-        honeypot_id: int,
-        protocol: int,
-        client_ip: int,
-        client_asn: int,
-        client_country_id: int,
-        n_attempts: int,
-        login_success: bool,
-        script_id: int = -1,
-        password_id: int = -1,
-        username_id: int = -1,
-        hash_ids: Tuple[int, ...] = (),
-        close_reason_id: int = 0,
-        version_id: int = -1,
-    ) -> None:
-        """One pre-interned scalar row (the singleton-writer path).
-
-        The scalar emitter forwards straight to the builder; the block
-        emitter overrides this to buffer the row into its pending block so
-        singleton sessions ride the same single flush as everything else.
-        """
-        self.builder.append_interned(
-            start_time=start_time,
-            duration=duration,
-            honeypot_id=honeypot_id,
-            protocol=protocol,
-            client_ip=client_ip,
-            client_asn=client_asn,
-            client_country_id=client_country_id,
-            n_attempts=n_attempts,
-            login_success=login_success,
-            script_id=script_id,
-            password_id=password_id,
-            username_id=username_id,
-            hash_ids=hash_ids,
-            close_reason_id=close_reason_id,
             version_id=version_id,
         )
 

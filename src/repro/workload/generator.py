@@ -30,6 +30,7 @@ calendar is a CSR array per category.
 
 from __future__ import annotations
 
+import itertools
 from typing import Dict, Iterable, Iterator, List, Optional, Tuple
 
 import numpy as np
@@ -63,14 +64,12 @@ from repro.workload.emit import (
 from repro.workload.samplers import (
     cmd_derive,
     cmd_draws,
-    cmd_fields,
     fail_log_derive,
     fail_log_draws,
     no_cmd_derive,
     no_cmd_draws,
     no_cred_derive,
     no_cred_draws,
-    protocol_array,
     protocol_from,
 )
 from repro.workload.script_runner import ScriptRunner
@@ -79,7 +78,6 @@ from repro.workload.targets import (
     PackedTargets,
     TargetIndex,
     TargetSet,
-    locality_pools,
     locality_redirects,
 )
 from repro.workload.temporal import (
@@ -137,12 +135,14 @@ def day_streams(
     """Kernel input for each of ``days`` with a positive budget.
 
     ``per_day`` draws every day from its own stream ``<base>.d<day>`` (the
-    sharded family); otherwise all days share ``base`` (the serial family).
+    sharded family), all seeded in one batch; otherwise all days share
+    ``base`` (the serial family).
     """
-    for day in days:
-        n = int(budgets[day])
-        if n > 0:
-            yield day, n, base.child(f"d{day}") if per_day else base
+    live = [(day, int(budgets[day])) for day in days if budgets[day] > 0]
+    streams = (base.children(f"d{day}" for day, _ in live) if per_day
+               else itertools.repeat(base))
+    for (day, n), rng in zip(live, streams):
+        yield day, n, rng
 
 
 def _inc_nonzero(name: str, n: int) -> None:
@@ -593,67 +593,14 @@ class TraceGenerator:
             self._campaign_sessions[r.category] += emitted
 
     def _emit_singleton_writers(self) -> None:
-        """Background intruders whose one-off files give singleton hashes.
-
-        Each writer runs a personal FILE_TOKEN script against a single
-        honeypot — these are the >60% of all hashes the paper finds at
-        exactly one honeypot.
-        """
-        # Explicit sequential handoff, as in _emit_fail_log above: the
-        # field and password samplers draw on this stream inside one task.
-        rng = self.rng.child("singletons")  # repro: lint-ok[rng-lineage]
-        pop = self.population
-        cmd_clients = pop.with_role(ClientRole.CMD)
-        n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
-        if n_writers == 0:
-            return
-        picked = rng.choice_indices(len(cmd_clients), size=n_writers, replace=False)
-        writers = cmd_clients[np.asarray(picked)]
-        emitted = 0
-        for w in writers:
-            w = int(w)
-            token = f"bg-{w}-{int(pop.ip[w])}"
-            profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-            script_id = self.builder.intern_script(profile.commands, profile.uris)
-            hash_ids = tuple(self.builder.hashes.intern(h) for h in profile.hashes)
-            # A singleton file surfaces wherever its writer happened to
-            # intrude; spreading them uniformly over the writer's targets
-            # keeps the top pots' unique-hash coverage small (the paper's
-            # strongest diversity argument: the best pot sees <5%).
-            target_pots = self.targets[w].pots
-            pot = int(target_pots[rng.randint(0, len(target_pots))])
-            n_sessions = 1 + rng.randint(0, 3)
-            day0 = int(pop.first_day[w])
-            for s in range(n_sessions):
-                day = min(day0 + rng.randint(0, max(1, int(pop.n_days[w]))),
-                          self.config.n_days - 1)
-                start = day * SECONDS_PER_DAY + rng.uniform(0, SECONDS_PER_DAY)
-                duration, close, attempts = cmd_fields(
-                    rng, 1, np.array([profile.exec_seconds])
-                )
-                protocol = protocol_array(rng, 1, SSH_SHARE["CMD"])
-                self.emitter.append_row(
-                    start_time=float(start),
-                    duration=float(duration[0]),
-                    honeypot_id=pot,
-                    protocol=int(protocol[0]),
-                    client_ip=int(pop.ip[w]),
-                    client_asn=int(pop.asn[w]),
-                    client_country_id=int(pop.country[w]),
-                    n_attempts=int(attempts[0]),
-                    login_success=True,
-                    script_id=script_id,
-                    password_id=int(self.emitter.success_passwords(rng, 1)[0]),
-                    username_id=self.emitter.root_id,
-                    hash_ids=hash_ids,
-                    close_reason_id=int(close[0]),
-                    version_id=-1,
-                )
-                emitted += 1
-        self._campaign_sessions["CMD"] += emitted  # counts against CMD budget
-        _metric_inc("generator.sessions.singletons", emitted)
-        _trace.emit("generator.block", trace_id="singletons",
-                    category="singletons", sessions=emitted)
+        """Background intruders whose one-off files give singleton hashes
+        (serial family: selection and every writer share one stream)."""
+        rng = self.rng.child("singletons")
+        writers = self._pick_writers(rng)
+        # Counts against the CMD budget.
+        self._campaign_sessions["CMD"] += self._singleton_writer_days(
+            (int(w), rng) for w in writers
+        )
 
     # -- singleton writers, sharded path --------------------------------------
     #
@@ -664,7 +611,9 @@ class TraceGenerator:
 
     def _singleton_writers(self) -> np.ndarray:
         """Deterministic singleton-writer selection (population indices)."""
-        rng = self.rng.child("singletons")
+        return self._pick_writers(self.rng.child("singletons"))
+
+    def _pick_writers(self, rng: RngStream) -> np.ndarray:
         cmd_clients = self.population.with_role(ClientRole.CMD)
         n_writers = min(self.config.n_singleton_hashes, len(cmd_clients))
         if n_writers == 0:
@@ -672,10 +621,13 @@ class TraceGenerator:
         picked = rng.choice_indices(len(cmd_clients), size=n_writers, replace=False)
         return cmd_clients[np.asarray(picked)]
 
-    def _singleton_writer_rng(self, w: int) -> RngStream:
-        # Composed-name construction: identical stream (and draws) to
-        # .child("singletons").child(f"w{w}") at half the derivations.
-        return RngStream(self.rng.master_seed, f"{self.rng.name}.singletons.w{w}")
+    def _singleton_writer_streams(
+        self, writers: np.ndarray
+    ) -> Iterator[Tuple[int, RngStream]]:
+        """``(writer, stream)`` per writer, each on its own stream
+        ``singletons.w<writer>``, all seeded in one batch."""
+        writers = [int(w) for w in writers]
+        return zip(writers, self.rng.children(f"singletons.w{w}" for w in writers))
 
     def _singleton_writer_plan(self, wrng: RngStream, w: int) -> Tuple[int, int]:
         """(target pot, session count) for one writer — first draws on its stream."""
@@ -686,55 +638,77 @@ class TraceGenerator:
 
     def _singleton_session_total(self, writers: np.ndarray) -> int:
         """Total sessions the writers will emit (re-derivable in any worker)."""
-        total = 0
-        for w in writers:
-            w = int(w)
-            _pot, n_sessions = self._singleton_writer_plan(
-                self._singleton_writer_rng(w), w
-            )
-            total += n_sessions
-        return total
+        return sum(self._singleton_writer_plan(wrng, w)[1]
+                   for w, wrng in self._singleton_writer_streams(writers))
 
-    def _singleton_writer_emit(self, w: int) -> None:
-        """Emit one writer's sessions into ``self.builder`` (sharded path)."""
+    def _singleton_writer_days(self, units: Iterable[Tuple[int, RngStream]]) -> int:
+        """Singleton-writer kernel; returns the session count.
+
+        Each writer runs a personal FILE_TOKEN script against one pot of
+        its target set -- these are the >60% of all hashes the paper finds
+        at exactly one honeypot.  Spreading them uniformly over the
+        writer's targets keeps the top pots' unique-hash coverage small
+        (the best pot sees <5%).  Per writer it makes the same scalar
+        draws, in the same order, as emitting its rows one by one (pot and
+        session count, then per session day, start, fields, protocol and
+        password) and buffers them; one derivation and one block follow.
+        """
         pop = self.population
-        w = int(w)
-        wrng = self._singleton_writer_rng(w)
-        pot, n_sessions = self._singleton_writer_plan(wrng, w)
-        token = f"bg-{w}-{int(pop.ip[w])}"
-        profile = self.runner.profile(build_script(ScriptKind.FILE_TOKEN, token=token))
-        script_id = self.builder.intern_script(profile.commands, profile.uris)
-        hash_ids = tuple(self.builder.hashes.intern(h) for h in profile.hashes)
-        day0 = int(pop.first_day[w])
-        for _s in range(n_sessions):
-            day = min(day0 + wrng.randint(0, max(1, int(pop.n_days[w]))),
-                      self.config.n_days - 1)
-            start = day * SECONDS_PER_DAY + wrng.uniform(0, SECONDS_PER_DAY)
-            duration, close, attempts = cmd_fields(
-                wrng, 1, np.array([profile.exec_seconds])
-            )
-            protocol = protocol_array(wrng, 1, SSH_SHARE["CMD"])
-            self.emitter.append_row(
-                start_time=float(start),
-                duration=float(duration[0]),
-                honeypot_id=pot,
-                protocol=int(protocol[0]),
-                client_ip=int(pop.ip[w]),
-                client_asn=int(pop.asn[w]),
-                client_country_id=int(pop.country[w]),
-                n_attempts=int(attempts[0]),
-                login_success=True,
-                script_id=script_id,
-                password_id=int(self.emitter.success_passwords(wrng, 1)[0]),
-                username_id=self.emitter.root_id,
-                hash_ids=hash_ids,
-                close_reason_id=int(close[0]),
-                version_id=-1,
-            )
-        _metric_inc("generator.sessions.singletons", n_sessions)
-        _trace.emit("generator.block", trace_id=f"singletons.w{w}",
-                    sim_time=day0 * 86400.0, category="singletons",
-                    writer=w, sessions=n_sessions)
+        last_day = self.config.n_days - 1
+        d = DayDraws()
+        starts: List[float] = []
+        writers: List[int] = []
+        pots: List[int] = []
+        script_ids: List[int] = []
+        hash_tuples: List[Tuple[int, ...]] = []
+        exec_seconds: List[float] = []
+        for w, rng in units:
+            pot, n_sessions = self._singleton_writer_plan(rng, w)
+            profile = self.runner.profile(build_script(
+                ScriptKind.FILE_TOKEN, token=f"bg-{w}-{int(pop.ip[w])}"))
+            slot = len(writers)
+            writers.append(w)
+            pots.append(pot)
+            script_ids.append(self.builder.intern_script(profile.commands,
+                                                         profile.uris))
+            hash_tuples.append(tuple(self.builder.hashes.intern(h)
+                                     for h in profile.hashes))
+            exec_seconds.append(profile.exec_seconds)
+            day0 = int(pop.first_day[w])
+            span = max(1, int(pop.n_days[w]))
+            for _s in range(n_sessions):
+                d.unit(min(day0 + rng.randint(0, span), last_day), 1, slot)
+                starts.append(rng.uniform(0, SECONDS_PER_DAY))
+                d.put("fields", cmd_draws(rng, 1))
+                d.put("proto", rng.random_array(1))
+                d.put("pw", rng.random_array(1))
+            _trace.emit("generator.block", trace_id=f"singletons.w{w}",
+                        sim_time=day0 * 86400.0, category="singletons",
+                        writer=w, sessions=n_sessions)
+        if not d.n:
+            return 0
+        slot_rows = np.asarray(d.tags)
+        idx = np.asarray(writers, dtype=np.int64)[slot_rows]
+        duration, close, attempts = cmd_derive(
+            np.asarray(exec_seconds)[slot_rows], *d.cat("fields"))
+        emitter = self.emitter
+        emitter.append_block(
+            start_time=d.rows(d.days) * SECONDS_PER_DAY + np.asarray(starts),
+            duration=duration,
+            honeypot=np.asarray(pots, dtype=np.int32)[slot_rows],
+            protocol=protocol_from(d.cat("proto"), SSH_SHARE["CMD"]),
+            **client_columns(pop, idx),
+            n_attempts=attempts,
+            login_success=np.ones(d.n, dtype=bool),
+            script_id=np.asarray(script_ids, dtype=np.int32)[slot_rows],
+            password_id=emitter.success_from(d.cat("pw")),
+            username_id=np.full(d.n, emitter.root_id, dtype=np.int32),
+            hash_ids=gather_hash_rows(hash_tuples, slot_rows),
+            close_reason=close,
+            version_id=np.full(d.n, -1, dtype=np.int32),
+        )
+        _metric_inc("generator.sessions.singletons", d.n)
+        return d.n
 
     def _bg_cmd_profiles(self) -> Tuple[int, np.ndarray, np.ndarray]:
         """Intern the fixed recon/fileless script set into ``self.builder``."""
@@ -910,11 +884,8 @@ class TraceGenerator:
         """Farm-wide locality pools per population country index (cached;
         a pure function of the deployment and population, no RNG)."""
         if self._locality_cache is None:
-            index = self.target_index
-            self._locality_cache = locality_pools(
-                self.population.country_codes,
-                index.pots_in_country, index.pots_on_continent,
-            )
+            self._locality_cache = self.engine.locality.pools(
+                np.arange(self.n_pots))
         return self._locality_cache
 
     # -- orchestration ---------------------------------------------------------------

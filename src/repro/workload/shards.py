@@ -4,7 +4,9 @@ The scenario is partitioned into shards keyed by (traffic unit, day-range):
 each realised campaign, the singleton-writer pool, and every background
 category is cut into fixed-size day (or writer) chunks. Every per-day and
 per-writer draw comes from a named child :class:`~repro.simulation.rng.RngStream`
-(``no_cred.d17``, ``emit.<campaign>.d42``, ``singletons.w1031``), so a
+(``no_cred.d17``, ``emit.<campaign>.d42``, ``singletons.w1031``), each
+shard seeding all of its streams in one batch
+(:meth:`~repro.simulation.rng.RngStream.children`), so a
 shard's output depends only on its key — never on which worker runs it or
 in what order. Workers emit into builders forked from the plan's base
 tables (:meth:`StoreBuilder.fork_tables`) and return frozen stores; the
@@ -255,16 +257,17 @@ def _emit_shard_body(plan: ShardPlan, shard: Shard) -> SessionStore:
         if kind == "campaign":
             campaign = plan.campaigns_by_id[shard.key]
             days = sorted(campaign.schedule)[shard.start:shard.stop]
-            engine.emit_days(engine.day_streams(campaign, days))
+            engine.emit_days(engine.day_streams(
+                [(campaign, day) for day in days]))
         elif kind == "campaign_group":
-            engine.emit_days(
-                unit
+            engine.emit_days(engine.day_streams([
+                (r, day)
                 for r in gen.realized[shard.start:shard.stop]
-                for unit in engine.day_streams(r, sorted(r.schedule))
-            )
+                for day in sorted(r.schedule)
+            ]))
         elif kind == "singletons":
-            for w in plan.writers[shard.start:shard.stop]:
-                gen._singleton_writer_emit(int(w))
+            gen._singleton_writer_days(gen._singleton_writer_streams(
+                plan.writers[shard.start:shard.stop]))
         else:
             if kind not in _BACKGROUND:
                 raise ValueError(f"unknown shard kind: {kind}")

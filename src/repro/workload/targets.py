@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -88,20 +88,45 @@ class PackedTargets:
 LocalityPools = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
 
 
-def locality_pools(
-    country_codes: Sequence[str],
-    in_country: Callable[[str], Sequence[int]],
-    on_continent: Callable[[Continent], Sequence[int]],
-) -> LocalityPools:
-    """Pack each client country's same-country and same-continent pots."""
-    pools = ([in_country(cc) for cc in country_codes]
-             + [on_continent(continent_of(cc)) for cc in country_codes])
-    lengths = np.fromiter(map(len, pools), np.int64, count=len(pools))
-    offsets = np.cumsum(lengths) - lengths
-    flat = np.concatenate([np.asarray(p, np.int32) for p in pools]
-                          + [np.zeros(0, np.int32)])
-    n = len(country_codes)
-    return flat, offsets[:n], lengths[:n], offsets[n:], lengths[n:]
+class LocalityIndex:
+    """Country and continent keys of every pot and client country.
+
+    :meth:`pools` packs the locality pools of any pot subset from one
+    stable argsort of the subset's keys, so each pool lists its pots in
+    subset order -- the order a per-country list built by walking the
+    subset would have.
+    """
+
+    def __init__(self, pot_countries: Sequence[str],
+                 client_country_codes: Sequence[str]):
+        n = len(client_country_codes)
+        country_key = {cc: i for i, cc in enumerate(client_country_codes)}
+        # Key n collects pots in a country no client comes from; the
+        # continents follow it.
+        continent_key: Dict[Continent, int] = {}
+        for cc in list(client_country_codes) + list(pot_countries):
+            continent_key.setdefault(continent_of(cc), n + 1 + len(continent_key))
+        self.n_countries = n
+        self.n_keys = n + 1 + len(continent_key)
+        self.pot_country = np.array(
+            [country_key.get(cc, n) for cc in pot_countries], np.int64)
+        self.pot_continent = np.array(
+            [continent_key[continent_of(cc)] for cc in pot_countries], np.int64)
+        self.client_continent = np.array(
+            [continent_key[continent_of(cc)] for cc in client_country_codes],
+            np.int64)
+
+    def pools(self, pots: np.ndarray) -> LocalityPools:
+        """Each client country's same-country and same-continent pots
+        among ``pots``, CSR-packed."""
+        pots = np.asarray(pots, dtype=np.int32)
+        keys = np.concatenate([self.pot_country[pots], self.pot_continent[pots]])
+        flat = np.concatenate([pots, pots])[np.argsort(keys, kind="stable")]
+        lengths = np.bincount(keys, minlength=self.n_keys)
+        offsets = np.cumsum(lengths) - lengths
+        n = self.n_countries
+        k = self.client_continent
+        return flat, offsets[:n], lengths[:n], offsets[k], lengths[k]
 
 
 def locality_redirects(
@@ -160,19 +185,10 @@ class TargetIndex:
                 [i for i, c in enumerate(self.pot_continents) if c is continent],
                 dtype=np.int32,
             )
-        self._by_country: Dict[str, np.ndarray] = {}
-        for country in dict.fromkeys(self.pot_countries):
-            self._by_country[country] = np.array(
-                [i for i, cc in enumerate(self.pot_countries) if cc == country],
-                dtype=np.int32,
-            )
         self._sets: List[Optional[TargetSet]] = []
 
     def pots_on_continent(self, continent: Continent) -> np.ndarray:
         return self._by_continent.get(continent, np.zeros(0, dtype=np.int32))
-
-    def pots_in_country(self, country: str) -> np.ndarray:
-        return self._by_country.get(country, np.zeros(0, dtype=np.int32))
 
     def build_for(self, breadths: np.ndarray) -> List[TargetSet]:
         """Build a target set per client (indexed like ``breadths``)."""

@@ -106,6 +106,22 @@ def test_clean_fixture_passes(rule_id):
     assert result.suppressed == 0, "clean fixtures need no suppressions"
 
 
+def test_rng_lineage_sees_bulk_constructor_names():
+    # Names built by ``RngStream.children`` take part in the collision,
+    # orphan and headless checks like single constructions do.
+    bad = _lint_fixture("rng_lineage_bulk_bad")
+    assert sorted(f.line for f in bad.findings
+                  if f.rule == "rng-lineage") == [13, 19, 25], bad.findings
+    assert any("fixture.bulk.d0" in f.message for f in bad.findings)
+    assert len(bad.findings) == 3
+    suppressed = _lint_fixture("rng_lineage_bulk_suppressed")
+    assert suppressed.findings == []
+    assert suppressed.suppressed == 3
+    clean = _lint_fixture("rng_lineage_bulk_clean")
+    assert clean.findings == []
+    assert clean.suppressed == 0
+
+
 # -- suppression semantics -----------------------------------------------------
 
 
@@ -286,8 +302,8 @@ def test_every_block_engine_instrument_is_declared():
     # The block emission engine's instrument names (repro.workload.blocks)
     # must stay in sync with the obs.names registry, same contract as the
     # sketch families above.
-    for name in ("emit.block.buffered_blocks", "emit.block.buffered_rows",
-                 "emit.block.flushes", "emit.block.rows"):
+    for name in ("emit.block.buffered_blocks", "emit.block.flushes",
+                 "emit.block.rows"):
         assert obs_names.is_declared(name, obs_names.COUNTERS), name
     assert obs_names.is_declared("emit.block.flush", obs_names.SPANS)
 

@@ -11,6 +11,24 @@ export PYTHONPATH="src${PYTHONPATH:+:$PYTHONPATH}"
 echo "== tier-1 tests =="
 python -m pytest -x -q
 
+echo "== shell fuzz (100,000 seeded hostile lines must raise nothing) =="
+# The generator is tests/shell_fuzz.py; tier-1 runs 5,000 lines of it.
+python - <<'PY'
+import time
+
+from tests.shell_fuzz import run_fuzz
+
+LINES = 100_000
+started = time.perf_counter()
+raised = run_fuzz(seed=2024, count=LINES)
+elapsed = time.perf_counter() - started
+if raised:
+    for line, error in raised[:5]:
+        print(f"  {line[:80]!r}: {error}")
+    raise SystemExit(f"shell fuzz: {len(raised)} of {LINES:,} lines raised")
+print(f"shell fuzz ok ({LINES:,} lines, 0 raised, {elapsed:.1f} s)")
+PY
+
 SCRATCH="$(mktemp -d)"
 trap 'rm -rf "$SCRATCH"' EXIT
 

@@ -52,7 +52,7 @@ from repro.analytics.sketches import (
     SpaceSaving,
 )
 from repro.farm.health import BLOCK_CATEGORY
-from repro.honeypot.events import HoneypotEvent
+from repro.honeypot.events import EVENT_KIND, HoneypotEvent
 from repro.obs import get_metrics
 from repro.store.store import SessionStore
 
@@ -175,7 +175,8 @@ class StreamingAnalytics:
     def on_event(self, event: HoneypotEvent) -> None:
         """Honeypot event-sink entry (``LiveFarm(event_tap=...)``)."""
         self._consume(
-            event.event_type.value, event.timestamp, event.session_id, event.data
+            EVENT_KIND[event.event_type], event.timestamp, event.session_id,
+            event.data,
         )
 
     def feed(self, event: Dict[str, Any]) -> None:

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field
 from typing import Any, Dict, Iterable, List, Optional
 
 from repro.core.notify import FreshHashNotice
-from repro.honeypot.events import HoneypotEvent
+from repro.honeypot.events import EVENT_KIND, HoneypotEvent
 from repro.obs import get_ledger, get_metrics
 
 #: Session categories the mix-drift baseline tracks (the paper's taxonomy).
@@ -210,7 +210,7 @@ class FarmHealthMonitor:
 
     def on_event(self, event: HoneypotEvent) -> None:
         """Honeypot event-sink entry (the live farm wiring)."""
-        self._consume(event.event_type.value, event.timestamp,
+        self._consume(EVENT_KIND[event.event_type], event.timestamp,
                       event.honeypot_id, event.session_id, event.data)
 
     def feed(self, event: Dict[str, Any]) -> None:

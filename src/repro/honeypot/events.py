@@ -26,6 +26,15 @@ class EventType(enum.Enum):
     FILE_MODIFIED = "honeypot.session.file_modified"
     SESSION_CLOSED = "honeypot.session.closed"
 
+    #: Members are singletons compared by identity; the identity hash is
+    #: C-level, where ``Enum.__hash__`` runs Python code on every lookup.
+    __hash__ = object.__hash__
+
+
+#: ``EventType -> eventid`` string: one dict lookup, where ``.value``
+#: goes through the enum's Python-level descriptor on every live event.
+EVENT_KIND: Dict[EventType, str] = {kind: kind.value for kind in EventType}
+
 
 @dataclass
 class HoneypotEvent:
@@ -39,7 +48,7 @@ class HoneypotEvent:
 
     def to_dict(self) -> Dict[str, Any]:
         return {
-            "eventid": self.event_type.value,
+            "eventid": EVENT_KIND[self.event_type],
             "timestamp": self.timestamp,
             "session": self.session_id,
             "sensor": self.honeypot_id,

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import hashlib
 import posixpath
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from typing import Dict, List, Optional, Tuple
 
 
@@ -22,8 +22,25 @@ def hash_content(content: bytes) -> str:
     return hashlib.sha256(content).hexdigest()
 
 
-@dataclass
+def encode_text(text: str) -> bytes:
+    """UTF-8 bytes of client-typed text; never raises.
+
+    Undecodable input bytes arrive as lone surrogates U+DC80..U+DCFF
+    (``surrogateescape`` decoding) and encode back to those bytes; any
+    other lone surrogate takes its three-byte ``surrogatepass`` form.
+    Valid text encodes as plain UTF-8.
+    """
+    try:
+        return text.encode("utf-8", "surrogateescape")
+    except UnicodeEncodeError:
+        return text.encode("utf-8", "surrogatepass")
+
+
+@dataclass(frozen=True)
 class FileEntry:
+    """One file or directory.  Immutable: a change replaces the entry, so
+    every session's filesystem can share the pristine layout's entries."""
+
     path: str
     content: bytes = b""
     mode: int = 0o644
@@ -91,19 +108,26 @@ DEFAULT_DIRS = [
 ]
 
 
+def _pristine_layout() -> Dict[str, FileEntry]:
+    entries = {d: FileEntry(path=d, is_dir=True, mode=0o755) for d in DEFAULT_DIRS}
+    for path, content in DEFAULT_LAYOUT.items():
+        mode = 0o755 if path.startswith("/bin") else 0o644
+        entries[path] = FileEntry(path=path, content=content, mode=mode)
+    entries["/root"] = FileEntry(path="/root", is_dir=True, mode=0o700)
+    return entries
+
+
+#: The default layout, built once; each populated filesystem starts as a
+#: shallow copy of it (copy-on-write: entries are frozen and replaced).
+_PRISTINE: Dict[str, FileEntry] = _pristine_layout()
+
+
 class FakeFilesystem:
     """A path -> :class:`FileEntry` store with Unix path semantics."""
 
     def __init__(self, populate: bool = True):
-        self._entries: Dict[str, FileEntry] = {}
+        self._entries: Dict[str, FileEntry] = dict(_PRISTINE) if populate else {}
         self.cwd = "/root"
-        if populate:
-            for d in DEFAULT_DIRS:
-                self._entries[d] = FileEntry(path=d, is_dir=True, mode=0o755)
-            for path, content in DEFAULT_LAYOUT.items():
-                mode = 0o755 if path.startswith("/bin") else 0o644
-                self._entries[path] = FileEntry(path=path, content=content, mode=mode)
-            self._entries["/root"] = FileEntry(path="/root", is_dir=True, mode=0o700)
 
     # -- path handling -----------------------------------------------------
 
@@ -196,10 +220,11 @@ class FakeFilesystem:
         return entry, created
 
     def chmod(self, path: str, mode: int) -> bool:
-        entry = self._entries.get(self.resolve(path))
+        full = self.resolve(path)
+        entry = self._entries.get(full)
         if entry is None:
             return False
-        entry.mode = mode
+        self._entries[full] = replace(entry, mode=mode)
         return True
 
     def remove(self, path: str) -> bool:

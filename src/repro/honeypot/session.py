@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Tuple
 
 from repro.honeypot.auth import AuthPolicy, AuthResult
-from repro.honeypot.events import EventType, HoneypotEvent
+from repro.honeypot.events import EVENT_KIND, EventType, HoneypotEvent
 from repro.obs import inc as _metric_inc
 from repro.obs import trace as _trace
 from repro.honeypot.filesystem import FakeFilesystem
@@ -149,8 +149,10 @@ class HoneypotSession:
     # -- event plumbing ----------------------------------------------------
 
     def _emit(self, event_type: EventType, now: float, data: dict) -> None:
-        _trace.emit(event_type.value, trace_id=self.trace_id, sim_time=now,
-                    sensor=self.honeypot_id, session=self.session_id, **data)
+        if _trace.enabled():
+            _trace.emit(EVENT_KIND[event_type], trace_id=self.trace_id,
+                        sim_time=now, sensor=self.honeypot_id,
+                        session=self.session_id, **data)
         if self._event_sink is not None:
             self._event_sink(HoneypotEvent(
                 event_type=event_type,

@@ -8,6 +8,7 @@ as unknown-command input the way Cowrie records them.
 
 from __future__ import annotations
 
+from repro.honeypot.filesystem import encode_text
 from repro.honeypot.shell.base import CommandRegistry
 from repro.honeypot.shell.context import ShellContext
 from repro.honeypot.shell.parser import SimpleCommand
@@ -29,7 +30,7 @@ def _shadow_digest(ctx: ShellContext, cmd: SimpleCommand) -> str:
     """
     import hashlib
 
-    seed = cmd.text.encode("utf-8")
+    seed = encode_text(cmd.text)
     for token in cmd.text.replace("<", " ").replace(">", " ").split():
         if token.startswith("/") and ctx.fs.exists(token) and not ctx.fs.is_dir(token):
             try:

@@ -14,6 +14,8 @@ from __future__ import annotations
 import hashlib
 from typing import Dict, Optional
 
+from repro.honeypot.filesystem import encode_text
+
 
 class UriResolver:
     """Base resolver: deterministic pseudo-payload per URI."""
@@ -25,7 +27,7 @@ class UriResolver:
 
     def fetch(self, uri: str) -> Optional[bytes]:
         """Payload bytes for ``uri``, or None for a failed fetch."""
-        seed = hashlib.sha256(uri.encode("utf-8")).digest()
+        seed = hashlib.sha256(encode_text(uri)).digest()
         # Size: 4-120 KiB, deterministic in the URI.
         size = 4096 + int.from_bytes(seed[:2], "big") % (120 * 1024)
         block = hashlib.sha256(seed).digest()

@@ -13,6 +13,7 @@ import re
 from dataclasses import dataclass, field
 from typing import List
 
+from repro.honeypot.filesystem import encode_text
 from repro.honeypot.shell.base import CommandRegistry, default_registry
 from repro.honeypot.shell.context import DownloadRecord, FileChange, ShellContext
 from repro.honeypot.shell.parser import SimpleCommand, split_command_line
@@ -152,8 +153,12 @@ class EmulatedShell:
 
         output = func(self.context, simple)
 
-        if simple.redirect_path:
-            content = (output + "\n").encode("utf-8") if output else b""
+        if simple.redirect_path and self.context.fs.is_dir(simple.redirect_path):
+            # The command itself made the target a directory (``mkdir 1
+            # > 1``); the write fails the same way, after the command ran.
+            output = f"bash: {simple.redirect_path}: Is a directory"
+        elif simple.redirect_path:
+            content = encode_text(output + "\n") if output else b""
             if name == "echo" and not output:
                 content = b"\n"
             self.context.record_write(

@@ -9,8 +9,9 @@ argument styles used by common droppers (``tftp -g``, ``ftpget``).
 from __future__ import annotations
 
 import re
-import shlex
 from typing import List
+
+from repro.honeypot.shell.parser import split_words
 
 _URL_RE = re.compile(
     r"""(?:https?|ftp|tftp)://[^\s'"`;|<>]+""",
@@ -23,7 +24,7 @@ _FETCH_TOOLS = {"wget", "curl", "tftp", "ftpget", "ftp", "scp", "sftp"}
 
 def _tokenize(command: str) -> List[str]:
     try:
-        return shlex.split(command, posix=True)
+        return split_words(command)
     except ValueError:
         return command.split()
 

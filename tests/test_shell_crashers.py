@@ -3,9 +3,14 @@
 Redirecting output onto a directory raised ``IsADirectoryError`` from
 ``FakeFilesystem.write``, ``rm -rf /`` raised ``KeyError: '/'`` from
 ``FakeFilesystem.remove``, and a fetcher saving onto a directory raised
-``IsADirectoryError`` from ``ShellContext.record_download``.  All must now
-answer with error text, leave the filesystem as it was, and keep the
-session alive.
+``IsADirectoryError`` from ``ShellContext.record_download``.  Lone
+surrogates (undecodable input bytes after ``surrogateescape`` decoding)
+raised ``UnicodeEncodeError`` wherever the shell encoded typed text: a
+redirected ``echo``, ``chpasswd`` and the fetchers' payload resolver.  A
+command that made its own redirect target a directory (``mkdir 1 > 1``,
+found by the seeded fuzz of ``shell_fuzz.py``) raised
+``IsADirectoryError`` from the write after it.  All must now answer with
+error text, leave the filesystem as it was, and keep the session alive.
 """
 
 import pytest
@@ -46,6 +51,11 @@ FETCH_ONTO_DIR = {
         "ftpget: can't open '/var': Is a directory",
 }
 
+#: Lines with a lone surrogate that reach the shell's text encoders.
+SURROGATE_LINES = ["echo \udcff > /tmp/a", "chpasswd \udcff", "tftp \udcff",
+                   "ftpget \udcff", "wget http://h/\udcff",
+                   "echo \ud800 > /tmp/a"]
+
 
 def _snapshot(fs):
     return {path: (e.is_dir, e.content) for path, e in fs._entries.items()}
@@ -79,6 +89,15 @@ class TestRedirectOntoDirectory:
     def test_command_does_not_run(self, shell):
         shell.execute("echo x > /tmp; touch /tmp/marker > /var")
         assert not shell.context.fs.exists("/tmp/marker")
+
+    @pytest.mark.parametrize("line", ["mkdir 1 > 1", "mkdir /tmp 1 777 2>&1",
+                                      "mkdir /tmp/d >> /tmp/d"])
+    def test_command_makes_its_target_a_directory(self, shell, line):
+        result = shell.execute(line)
+        target = line.rsplit(">", 1)[1].strip().lstrip("&")
+        assert result.commands[0].output == f"bash: {target}: Is a directory"
+        assert result.file_changes == []
+        assert shell.context.fs.is_dir(target)
 
     def test_file_redirect_still_writes(self, shell):
         result = shell.execute("echo hi > /tmp/out")
@@ -119,9 +138,32 @@ class TestFetchOntoDirectory:
         assert shell.context.downloads[0].sha256 is not None
 
 
+class TestLoneSurrogates:
+    @pytest.mark.parametrize("line", SURROGATE_LINES)
+    def test_never_raises_and_records(self, shell, line):
+        result = shell.execute(line)
+        assert result.commands[0].known
+        assert len(result.file_changes) == 1
+
+    def test_escaped_byte_round_trips(self, shell):
+        shell.execute("echo \udcff\udc80 > /tmp/a")
+        assert shell.context.fs.read("/tmp/a") == b"\xff\x80\n"
+
+    def test_valid_text_bytes_unchanged(self, shell):
+        shell.execute("echo h\u00e9llo > /tmp/a")
+        assert shell.context.fs.read("/tmp/a") == "h\u00e9llo\n".encode("utf-8")
+
+    def test_surrogate_and_plain_uri_differ(self, shell):
+        first = shell.execute("wget http://h/\udcff").downloads[0].sha256
+        second = shell.execute("wget http://h/x").downloads[0].sha256
+        assert first and second and first != second
+
+
 class TestLiveSession:
     @pytest.mark.parametrize(
-        "line", REDIRECT_LINES + RM_ROOT_LINES + sorted(FETCH_ONTO_DIR)
+        "line",
+        REDIRECT_LINES + RM_ROOT_LINES + sorted(FETCH_ONTO_DIR) + SURROGATE_LINES
+        + ["mkdir /tmp 1 777 2>&1"],
     )
     def test_session_survives(self, line):
         hp = Honeypot(HoneypotConfig("hp-crash", 1, "US", 1))
